@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import Manifest, load_image
 from .model import QualityTransformer, forward_panel, predict
-from .tensor import Rng, Tensor
+from .tensor import Rng, Tensor, no_grad
 from .training import TrainLog, sample_crops
 
 
@@ -83,7 +83,7 @@ class EvalReport:
 def evaluate(model: QualityTransformer, manifest: Manifest,
              crops_per_image: int = 10, seed: int = 0) -> EvalReport:
     """Per image, average the predictions of crops_per_image random crops,
-    then correlate against the labels."""
+    then correlate against the labels. The forward records no autodiff tape."""
     if len(manifest) < 2:
         raise MetricError("evaluate needs a manifest with n >= 2")
     hw = model.config.crop_hw
@@ -94,7 +94,8 @@ def evaluate(model: QualityTransformer, manifest: Manifest,
         img = load_image(sample)
         crops = sample_crops(img, crops_per_image, hw, rng)
         batch = Tensor(np.stack(crops).astype(dtype))
-        scores, _, _ = forward_panel(model, batch)
+        with no_grad():
+            scores, _, _ = forward_panel(model, batch)
         preds.append(float(scores.data.mean()))
     preds = np.array(preds)
     labels = manifest.scores()

@@ -17,7 +17,7 @@ import numpy as np
 from . import decoder as dec
 from . import encoder as enc
 from .encoder import EmbeddingParams, EncoderBlockParams, ModelConfig
-from .tensor import Rng, Tensor
+from .tensor import Rng, Tensor, no_grad
 
 
 @dataclass
@@ -146,10 +146,13 @@ class Prediction:
 
 
 def predict(model: QualityTransformer, image: Tensor) -> Prediction:
-    """Score a single (C, H, W) image with full diagnostics attached."""
+    """Score a single (C, H, W) image with full diagnostics attached.
+
+    Inference only: the forward records no autodiff tape."""
     batch = image.reshape((1,) + image.shape) if image.ndim == 3 else image
-    panel_scores, embeddings, maps = forward_panel(model, batch,
-                                                   collect_weights=True)
+    with no_grad():
+        panel_scores, embeddings, maps = forward_panel(model, batch,
+                                                       collect_weights=True)
     ps = panel_scores.data[0]
     return Prediction(
         score=float(ps.mean()),

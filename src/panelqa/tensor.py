@@ -45,11 +45,12 @@ class no_grad:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
+    lead = grad.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, extent in enumerate(shape)
+        if extent == 1 and grad.shape[lead + i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
 
 
@@ -94,11 +95,6 @@ class Tensor:
 
     def numpy(self) -> np.ndarray:
         return self.data
-
-    def check_finite(self, what: str = "tensor") -> "Tensor":
-        if not np.all(np.isfinite(self.data)):
-            raise NonFiniteError(f"non-finite values in {what}")
-        return self
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op}, grad={self.requires_grad})"
@@ -219,10 +215,16 @@ class Tensor:
     def __getitem__(self, key):
         out = self.data[key]
         src = self
+        basic = all(isinstance(k, (int, np.integer, slice))
+                    and not isinstance(k, bool)
+                    for k in (key if isinstance(key, tuple) else (key,)))
 
         def vjp(g):
             full = np.zeros_like(src.data)
-            np.add.at(full, key, g)
+            if basic:
+                full[key] = g  # basic indexing never repeats an element
+            else:
+                np.add.at(full, key, g)
             return (full,)
 
         return Tensor._make(np.ascontiguousarray(out), (self,), vjp, "slice")
@@ -280,6 +282,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def vjp(g):
+        if b.ndim == 2:
+            # weight gradient as one GEMM: fold the leading axes into rows
+            g2 = g.reshape(-1, g.shape[-1])
+            ga = (g2 @ b.data.T).reshape(a.shape)
+            gb = a.data.reshape(-1, a.shape[-1]).T @ g2
+            return (ga, gb)
         ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
         gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
         return (ga, gb)
@@ -328,26 +336,32 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation."""
-    u = _GELU_C * (x.data + 0.044715 * x.data ** 3)
-    t = np.tanh(u)
-    out = 0.5 * x.data * (1.0 + t)
+    xd = x.data
+    x2 = xd * xd
+    t = x2 * xd                      # x**3 without numpy's slow power path
+    t *= 0.044715
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= xd
+    out *= 0.5
 
     def vjp(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x.data ** 2)
-        d = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t ** 2) * du
-        return (g * d,)
+        # d/dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2), in two buffers
+        d = np.multiply(t, t, dtype=np.result_type(t, g))
+        np.subtract(1.0, d, out=d)
+        d *= xd
+        du = x2 * (3 * 0.044715 * _GELU_C)
+        du += _GELU_C
+        d *= du
+        d += t
+        d += 1.0
+        d *= 0.5
+        d *= g
+        return (d,)
 
     return Tensor._make(out, (x,), vjp, "gelu")
-
-
-def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack same-shape tensors along a new leading axis."""
-    out = np.stack([t.data for t in tensors])
-
-    def vjp(g):
-        return tuple(g[i] for i in range(len(tensors)))
-
-    return Tensor._make(out, tuple(tensors), vjp, "stack")
 
 
 # -- deterministic random numbers --------------------------------------------
@@ -454,10 +468,3 @@ def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
                 rel = abs(a - num) / max(abs(a), abs(num), 1e-8)
                 worst = max(worst, rel)
     return worst
-
-
-def parameters_finite(params: dict[str, Tensor]) -> None:
-    """Raise NonFiniteError naming the first offending parameter."""
-    for name, p in params.items():
-        if not np.all(np.isfinite(p.data)):
-            raise NonFiniteError(f"non-finite values in parameter {name}")

@@ -4,6 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import panelqa.metrics as metrics_mod
+import panelqa.model as model_mod
 from conftest import rand_image, toy_model
 from panelqa.data import Manifest, Sample, gen_base_images
 from panelqa.metrics import (MetricError, attention_map, cls_grad_stats,
@@ -234,3 +236,38 @@ class TestAttentionMap:
         model = toy_model(seed=15, variant="encoder_only")
         with pytest.raises(MetricError):
             attention_map(model, rand_image(model.config, Rng(16)))
+
+
+class TestInferenceLeavesNoTape:
+    def test_no_grads_no_tape_same_next_step(self, monkeypatch):
+        outputs = []
+
+        def recording(fn):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                outputs.extend(t for t in out[:2] if t is not None)
+                return out
+            return wrapped
+
+        for mod in (metrics_mod, model_mod):
+            monkeypatch.setattr(mod, "forward_panel",
+                                recording(mod.forward_panel))
+        manifest = small_manifest()
+        used, fresh = toy_model(seed=16), toy_model(seed=16)
+        img = rand_image(used.config, Rng(17))
+        evaluate(used, manifest, crops_per_image=2)
+        model_mod.predict(used, img)
+        attention_map(used, img)
+        panel_cosine(used, manifest)
+        # scores and embeddings of one forward per image in evaluate and
+        # panel_cosine, and of one each in predict and attention_map
+        assert len(outputs) == 2 * (len(manifest) + 1 + 1 + len(manifest))
+        for t in outputs:
+            assert not t.requires_grad and t._parents == ()
+        for name, p in used.named_parameters().items():
+            assert p.grad is None, name
+        cfg = TrainConfig(epochs=1, batch_size=8, crops_per_image=1, seed=5)
+        a = fit(used, manifest, cfg, max_steps=1)
+        b = fit(fresh, manifest, cfg, max_steps=1)
+        assert a.losses().tolist() == b.losses().tolist()
+        assert a.records[0].grad_norm == b.records[0].grad_norm

@@ -1,10 +1,21 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from panelqa.tensor import (GradError, NonFiniteError, Rng, ShapeError, Tensor,
-                            gelu, grad_check, layer_norm, matmul, no_grad,
-                            softmax_lastdim)
+                            _unbroadcast, gelu, grad_check, layer_norm, matmul,
+                            no_grad, softmax_lastdim)
+
+
+def power_gelu(x):
+    """The tanh GELU and its derivative written with power ops, as gelu was
+    before it dropped them; returns (value, d value / dx)."""
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (x + 0.044715 * x ** 3))
+    du = c * (1.0 + 3 * 0.044715 * x ** 2)
+    return 0.5 * x * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * du
 
 
 def naive_matmul(a, b):
@@ -67,6 +78,18 @@ class TestMatmul:
         for i in range(4):
             npt.assert_allclose(got[i], a[i] @ w, atol=1e-12)
 
+    def test_weight_grad_matches_batched_sum(self):
+        # (B, M, D) @ (D, E): the vjp folds B into rows; the replaced path
+        # took a batched product and summed it over B
+        rng = Rng(12)
+        a = Tensor(rng.normal((4, 3, 5)), requires_grad=True)
+        w = Tensor(rng.normal((5, 2)), requires_grad=True)
+        g = rng.normal((4, 3, 2))
+        (matmul(a, w) * Tensor(g)).sum().backward()
+        assert np.max(np.abs(a.grad - g @ w.data.T)) <= 1e-12
+        want_w = (np.swapaxes(a.data, -1, -2) @ g).sum(axis=0)
+        assert np.max(np.abs(w.grad - want_w)) <= 1e-12
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -123,6 +146,19 @@ class TestGelu:
         assert abs(gelu(Tensor([10.0])).data[0] - 10.0) <= 1e-6
         assert abs(gelu(Tensor([-10.0])).data[0]) <= 1e-6
 
+    @pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-6),
+                                            (np.float64, 1e-14)])
+    def test_matches_power_formula(self, dtype, atol):
+        x = Tensor(Rng(4).normal((100_000,), std=3.0, dtype=dtype),
+                   requires_grad=True)
+        g = Rng(5).normal((100_000,), dtype=dtype)
+        out = gelu(x)
+        (out * Tensor(g)).sum().backward()
+        want, dwant = power_gelu(x.data)
+        assert out.dtype == dtype and x.grad.dtype == dtype
+        assert np.max(np.abs(out.data - want)) <= atol
+        assert np.max(np.abs(x.grad - g * dwant)) <= atol
+
 
 class TestBackward:
     def test_sum_grad_is_ones(self):
@@ -166,6 +202,51 @@ class TestBackward:
         x[:, 1:].sum().backward()
         npt.assert_array_equal(x.grad, [[0, 1, 1], [0, 1, 1]])
 
+    @pytest.mark.parametrize("key", [
+        (slice(None), slice(1, None)),
+        (1, slice(None, None, 2)),
+        2,
+        (np.int64(0), slice(1, 3), -1),
+        (slice(None, None, -1), 0),
+    ])
+    def test_basic_slice_backward_matches_add_at(self, key):
+        self._check_index_backward(key)
+
+    @pytest.mark.parametrize("key", [
+        np.array([0, 2, 0]),
+        ([0, 0, 1], slice(None)),
+        (slice(None), [3, 3], 1),
+        np.arange(60).reshape(3, 4, 5) % 3 == 0,
+    ])
+    def test_advanced_index_backward_matches_add_at(self, key):
+        self._check_index_backward(key)
+
+    @staticmethod
+    def _check_index_backward(key):
+        x = Tensor(Rng(31).normal((3, 4, 5)), requires_grad=True)
+        y = x[key]
+        g = Rng(32).normal(y.shape)
+        (y * Tensor(g)).sum().backward()
+        want = np.zeros((3, 4, 5))
+        np.add.at(want, key, g)
+        npt.assert_array_equal(x.grad, want)
+
+    @pytest.mark.parametrize("grad_shape,shape", [
+        ((2, 3, 5), (5,)), ((2, 3, 5), (1, 5)), ((2, 4, 3, 5), (4, 1, 5)),
+        ((2, 3, 4), (3, 1)), ((2, 3), (1, 1)), ((2, 3), ()),
+    ])
+    def test_unbroadcast_matches_per_axis_sums(self, grad_shape, shape):
+        grad = Rng(33).normal(grad_shape)
+        want = grad
+        while want.ndim > len(shape):
+            want = want.sum(axis=0)
+        for axis, extent in enumerate(shape):
+            if extent == 1:
+                want = want.sum(axis=axis, keepdims=True)
+        got = _unbroadcast(grad, shape)
+        assert got.shape == shape
+        npt.assert_allclose(got, want, atol=1e-12)
+
     def test_no_grad_suppresses_tape(self):
         x = Tensor([1.0], requires_grad=True)
         with no_grad():
@@ -192,6 +273,23 @@ class TestGradCheck:
 
         err = grad_check(f, {"theta": theta, "gain": gain, "bias": bias},
                          eps=1e-4)
+        assert err <= 1e-6
+
+    def test_gelu(self):
+        rng = Rng(18)
+        theta = Tensor(rng.normal((3, 4), std=2.0), requires_grad=True)
+        weight = Tensor(rng.normal((3, 4)))
+        err = grad_check(lambda: (gelu(theta) * weight).sum(),
+                         {"theta": theta}, eps=1e-4)
+        assert err <= 1e-6
+
+    def test_matmul_3d_by_2d(self):
+        rng = Rng(19)
+        a = Tensor(rng.normal((2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal((4, 5)), requires_grad=True)
+        weight = Tensor(rng.normal((2, 3, 5)))
+        err = grad_check(lambda: (matmul(a, w) * weight).sum(),
+                         {"a": a, "w": w}, eps=1e-4)
         assert err <= 1e-6
 
     def test_rejects_float32(self):
