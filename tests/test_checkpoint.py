@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -55,6 +57,32 @@ class TestRoundTrip:
         save_checkpoint(p1, model)
         save_checkpoint(p2, model)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+class TestGoldenBytes:
+    """The version-1 byte layout: a change to the writer shows up here."""
+
+    @staticmethod
+    def sha256(path):
+        return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+    def test_weights_only(self, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, toy_model(seed=4))
+        assert self.sha256(path) == (
+            "9c2899c6c429acaf3ed085a043851917fd9c3220f328def60fe9a19b2739701a")
+
+    def test_with_optimizer_state(self, tmp_path):
+        model = toy_model(seed=4)
+        state = OptimizerState.init(model.named_parameters())
+        state.step = 5
+        for k in state.m:
+            state.m[k] += 0.25
+            state.v[k] += 0.5
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, model, optimizer=state)
+        assert self.sha256(path) == (
+            "caf5491b0c0412bed6194c28bfb62f6902160503637e70c5c3bf6415cd47cc8b")
 
 
 class TestErrors:

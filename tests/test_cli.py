@@ -1,3 +1,4 @@
+import argparse
 import os
 
 import pytest
@@ -25,6 +26,50 @@ image_hw = 16
 eval_crops = 1
 repeats = 2
 """
+
+
+DEFAULT_CONFIG_TXT = """\
+patch_size = 16
+token_dim = 384
+heads = 6
+encoder_depth = 12
+decoder_depth = 1
+panel_size = 6
+mlp_ratio = 4.0
+channels = 3
+crop_hw = 224
+variant = full
+epochs = 9
+base_lr = 0.0002
+lr_decay_factor = 10.0
+decay_every_epochs = 3
+batch_size = 16
+crops_per_image = 10
+weight_decay = 0.0001
+smooth_l1_beta = 1.0
+normalize_scores = False
+seed = 0
+precision = 64
+bases = 100
+kinds = gaussian_blur,white_noise,contrast_reduction,blockiness
+levels = 5
+image_hw = 64
+eval_crops = 10
+mode = repeats
+repeats = 10
+train_frac = 0.8
+"""
+
+
+def run_config(*argv):
+    return build_run_config(cli.make_parser().parse_args(["gradcheck", *argv]))
+
+
+def subcommand_parsers():
+    parser = cli.make_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
 
 
 @pytest.fixture
@@ -91,6 +136,34 @@ class TestConfigFile:
         text = open(os.path.join(out, "config.txt")).read()
         assert "bases = 2" in text
         assert "token_dim = 16" in text
+
+
+class TestConfigSchema:
+    def test_default_config_text_is_golden(self):
+        assert run_config().text() == DEFAULT_CONFIG_TXT
+
+    def test_written_text_reads_back_equal(self, tmp_path):
+        cfg = run_config("--epochs", "3", "--base-lr", "0.00125",
+                         "--normalize-scores", "yes",
+                         "--variant", "encoder_only", "--kinds", "white_noise")
+        assert cfg != run_config()
+        p = tmp_path / "round.cfg"
+        p.write_text(cfg.text())
+        assert run_config("--config", str(p)) == cfg
+
+    def test_every_key_has_exactly_one_flag(self):
+        keys = [line.split(" = ")[0]
+                for line in DEFAULT_CONFIG_TXT.splitlines()]
+        assert len(keys) == len(set(keys)) == 29
+        command_flags = {"help", "config", "out", "manifest", "test_manifest",
+                         "resume", "checkpoint", "eps", "tolerance", "image"}
+        for name, sub in subcommand_parsers().items():
+            dests = [a.dest for a in sub._actions]
+            for key in keys:
+                (action,) = [a for a in sub._actions if a.dest == key]
+                assert action.option_strings == ["--" + key.replace("_", "-")]
+            assert set(dests) - set(keys) <= command_flags, name
+            assert len(dests) == len(set(dests)), name
 
 
 class TestExitCodes:
