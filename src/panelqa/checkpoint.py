@@ -6,15 +6,19 @@ Layout (all integers little-endian):
 Tensor record: u32 name_len | name utf-8 | u8 dtype (1=f32, 2=f64) |
   u32 rank | rank x u64 dims | raw little-endian element bytes.
 Optimizer moment tensors are stored with "opt.m." / "opt.v." name prefixes.
+The config is the model's ``key = value`` text, written and read by
+``panelqa.config`` like ``config.txt``; a header must name every
+``ModelConfig`` key, and a malformed one fails naming the file and the key.
 """
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .config import keys, parse, write
 from .encoder import ModelConfig
 from .model import QualityTransformer, init_model
 from .tensor import Rng, Tensor
@@ -40,28 +44,16 @@ class Checkpoint:
     opt_v: Optional[dict[str, np.ndarray]] = None
 
 
-def _config_text(cfg: ModelConfig) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in cfg.to_dict().items())
-
-
-def _parse_config(text: str) -> ModelConfig:
-    kinds = {f.name: f.type for f in fields(ModelConfig)}
-    out = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in kinds:
-            raise CheckpointError(f"unknown config key {key!r} in checkpoint")
-        if key == "variant":
-            out[key] = value
-        elif key == "mlp_ratio":
-            out[key] = float(value)
-        else:
-            out[key] = int(value)
-    return ModelConfig(**out)
+def _read_config(path: str, raw: bytes) -> ModelConfig:
+    """The header's model config; every key must be present."""
+    try:
+        values = parse(raw.decode(), keys(ModelConfig), "header")
+        missing = [k for k in keys(ModelConfig) if k not in values]
+        if missing:
+            raise ValueError(f"missing config key {missing[0]!r}")
+        return ModelConfig(**values)
+    except ValueError as exc:   # ConfigError and UnicodeDecodeError too
+        raise CheckpointError(f"{path}: bad config header: {exc}") from None
 
 
 def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
@@ -106,7 +98,7 @@ def save_checkpoint(path: str, model: QualityTransformer,
         records += [(f"opt.m.{k}", v) for k, v in optimizer.m.items()]
         records += [(f"opt.v.{k}", v) for k, v in optimizer.v.items()]
         step = optimizer.step
-    cfg_bytes = _config_text(model.config).encode()
+    cfg_bytes = write(model.config).encode()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
@@ -130,7 +122,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(
                 f"{path}: unsupported checkpoint version {version}")
         (clen,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-        config = _parse_config(_read_exact(fh, clen, "config").decode())
+        config = _read_config(path, _read_exact(fh, clen, "config"))
         (step,) = struct.unpack("<Q", _read_exact(fh, 8, "step"))
         (has_opt,) = struct.unpack("<B", _read_exact(fh, 1, "optimizer flag"))
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))

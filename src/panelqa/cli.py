@@ -1,22 +1,24 @@
 """Command-line surface: data generation, training, evaluation, protocols,
 gradient checking, and diagnostics.
 
-Configuration is plain ``key = value`` text with ``#`` comments; command-line
-flags override file values, and the effective configuration is echoed into
-every output directory. Unknown keys are rejected before any computation.
+Configuration is plain ``key = value`` text with ``#`` comments, read by
+``panelqa.config``; command-line flags override file values, and the effective
+configuration is echoed into every output directory. Unknown keys and invalid
+values are rejected before any computation.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import data as dat
 from . import protocols as proto
 from .checkpoint import build_model, load_checkpoint, load_optimizer, save_checkpoint
+from .config import ConfigError, build, convert, keys, parse, write
 from .encoder import ModelConfig
 from .metrics import attention_map, evaluate, panel_cosine
 from .model import init_model
@@ -27,37 +29,14 @@ from .training import OptimizerState, TrainConfig, fit, smooth_l1
 DEFAULT_KINDS = ",".join(dat.DISTORTION_KINDS)
 
 
-class ConfigError(ValueError):
-    pass
-
-
 @dataclass
 class RunConfig:
-    """Every tunable in one record; defaults follow the full-size recipe."""
-    # architecture
-    patch_size: int = 16
-    token_dim: int = 384
-    heads: int = 6
-    encoder_depth: int = 12
-    decoder_depth: int = 1
-    panel_size: int = 6
-    mlp_ratio: float = 4.0
-    channels: int = 3
-    crop_hw: int = 224
-    variant: str = "full"
-    # training
-    epochs: int = 9
-    base_lr: float = 2e-4
-    lr_decay_factor: float = 10.0
-    decay_every_epochs: int = 3
-    batch_size: int = 16
-    crops_per_image: int = 10
-    weight_decay: float = 1e-4
-    smooth_l1_beta: float = 1.0
-    normalize_scores: bool = False
-    # shared
-    seed: int = 0
-    precision: int = 64
+    """Every tunable of a run: the model and training records, plus the keys
+    only the commands read. Defaults follow the full-size recipe."""
+    model: ModelConfig = field(default_factory=ModelConfig,
+                               metadata={"cli": False})
+    train: TrainConfig = field(default_factory=TrainConfig,
+                               metadata={"cli": False})
     # synthetic data generation
     bases: int = 100
     kinds: str = DEFAULT_KINDS
@@ -69,82 +48,26 @@ class RunConfig:
     repeats: int = 10
     train_frac: float = 0.8
 
-    @property
-    def dtype(self):
-        return np.float64 if self.precision == 64 else np.float32
-
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            patch_size=self.patch_size, token_dim=self.token_dim,
-            heads=self.heads, encoder_depth=self.encoder_depth,
-            decoder_depth=self.decoder_depth, panel_size=self.panel_size,
-            mlp_ratio=self.mlp_ratio, channels=self.channels,
-            crop_hw=self.crop_hw, variant=self.variant)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs, base_lr=self.base_lr,
-            lr_decay_factor=self.lr_decay_factor,
-            decay_every_epochs=self.decay_every_epochs,
-            batch_size=self.batch_size, crops_per_image=self.crops_per_image,
-            seed=self.seed, precision=self.precision,
-            weight_decay=self.weight_decay,
-            smooth_l1_beta=self.smooth_l1_beta,
-            normalize_scores=self.normalize_scores)
-
     def text(self) -> str:
-        return "".join(f"{f.name} = {getattr(self, f.name)}\n"
-                       for f in fields(self))
+        return write(self.model) + write(self.train) + write(self)
 
 
-def _convert(name: str, kind, raw: str):
-    raw = raw.strip()
-    if kind is bool or kind == "bool":
-        if raw.lower() in ("true", "1", "yes", "on"):
-            return True
-        if raw.lower() in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"bad boolean for {name}: {raw!r}")
-    if kind is int or kind == "int":
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"bad integer for {name}: {raw!r}")
-    if kind is float or kind == "float":
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"bad number for {name}: {raw!r}")
-    return raw
+SCHEMA = keys(ModelConfig, TrainConfig, RunConfig)
 
 
 def parse_config_file(path: str) -> dict:
-    kinds = {f.name: f.type for f in fields(RunConfig)}
-    out = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in kinds:
-                raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
-            out[key] = _convert(key, kinds[key], value)
-    return out
+        return parse(fh.read(), SCHEMA, path)
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    values = {}
-    if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
-    for f in fields(RunConfig):
-        override = getattr(args, f.name, None)
+    values = parse_config_file(args.config) if args.config else {}
+    for name, kind in SCHEMA.items():
+        override = getattr(args, name)
         if override is not None:
-            values[f.name] = override
-    return RunConfig(**values)
+            values[name] = convert(name, kind, override)
+    return build(RunConfig, values, model=build(ModelConfig, values),
+                 train=build(TrainConfig, values))
 
 
 def _prepare_out(cfg: RunConfig, out_dir: str) -> str:
@@ -160,7 +83,7 @@ def cmd_gen_data(cfg: RunConfig, args) -> int:
     out = _prepare_out(cfg, args.out)
     kinds = [k.strip() for k in cfg.kinds.split(",") if k.strip()]
     manifest = dat.gen_synthetic_dataset(cfg.bases, cfg.levels, kinds,
-                                         Rng(("gen", cfg.seed)),
+                                         Rng(("gen", cfg.train.seed)),
                                          hw=cfg.image_hw)
     file_manifest = dat.materialize(manifest, out)
     dat.write_manifest(os.path.join(out, "manifest.csv"), file_manifest)
@@ -171,27 +94,28 @@ def cmd_gen_data(cfg: RunConfig, args) -> int:
 def cmd_train(cfg: RunConfig, args) -> int:
     out = _prepare_out(cfg, args.out)
     manifest = dat.read_manifest(args.manifest)
-    train_cfg = cfg.train_config()
+    train_cfg = cfg.train
     if args.resume:
         ckpt = load_checkpoint(args.resume)
-        model = build_model(ckpt, config=cfg.model_config())
+        model = build_model(ckpt, config=cfg.model)
         state = load_optimizer(ckpt, model.named_parameters(),
-                               weight_decay=cfg.weight_decay)
+                               weight_decay=train_cfg.weight_decay)
     else:
-        model = init_model(cfg.model_config(), Rng(("model", cfg.seed)),
-                           dtype=cfg.dtype)
+        model = init_model(cfg.model, Rng(("model", train_cfg.seed)),
+                           dtype=train_cfg.dtype)
         state = OptimizerState.init(model.named_parameters(),
-                                    weight_decay=cfg.weight_decay)
+                                    weight_decay=train_cfg.weight_decay)
     log = fit(model, manifest, train_cfg, state=state)
     log.write(os.path.join(out, "train.log"))
     save_checkpoint(os.path.join(out, "model.ckpt"), model, optimizer=state)
     svg_line(os.path.join(out, "loss.svg"), log.losses(), title="loss per step")
     train_report = evaluate(model, manifest, crops_per_image=cfg.eval_crops,
-                            seed=cfg.seed)
+                            seed=train_cfg.seed)
     print(f"train srcc={train_report.srcc:.6f} plcc={train_report.plcc:.6f}")
     if args.test_manifest:
         test_report = evaluate(model, dat.read_manifest(args.test_manifest),
-                               crops_per_image=cfg.eval_crops, seed=cfg.seed)
+                               crops_per_image=cfg.eval_crops,
+                               seed=train_cfg.seed)
         print(f"test srcc={test_report.srcc:.6f} plcc={test_report.plcc:.6f}")
     return 0
 
@@ -201,7 +125,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     model = build_model(load_checkpoint(args.checkpoint))
     manifest = dat.read_manifest(args.manifest)
     report = evaluate(model, manifest, crops_per_image=cfg.eval_crops,
-                      seed=cfg.seed)
+                      seed=cfg.train.seed)
     report.write(os.path.join(out, "eval.txt"))
     svg_scatter(os.path.join(out, "scatter.svg"), report.labels,
                 report.predictions, title="label vs prediction")
@@ -212,10 +136,8 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 def cmd_protocol(cfg: RunConfig, args) -> int:
     out = _prepare_out(cfg, args.out)
     manifest = dat.read_manifest(args.manifest)
-    model_cfg = cfg.model_config()
-    train_cfg = cfg.train_config()
-    kwargs = dict(repeats=cfg.repeats, eval_crops=cfg.eval_crops,
-                  dtype=cfg.dtype)
+    model_cfg, train_cfg = cfg.model, cfg.train
+    kwargs = dict(repeats=cfg.repeats, eval_crops=cfg.eval_crops)
     if cfg.mode == "repeats":
         report = proto.protocol_repeats(manifest, model_cfg, train_cfg,
                                         train_frac=cfg.train_frac, **kwargs)
@@ -238,15 +160,15 @@ def cmd_protocol(cfg: RunConfig, args) -> int:
 
 def cmd_gradcheck(cfg: RunConfig, args) -> int:
     from .model import forward_scores
-    model = init_model(cfg.model_config(), Rng(("model", cfg.seed)),
-                       dtype=np.float64)
-    rng = Rng(("gradcheck", cfg.seed))
-    img = Tensor(rng.uniform((1, cfg.channels, cfg.crop_hw, cfg.crop_hw)))
+    mc, seed = cfg.model, cfg.train.seed
+    model = init_model(mc, Rng(("model", seed)), dtype=np.float64)
+    rng = Rng(("gradcheck", seed))
+    img = Tensor(rng.uniform((1, mc.channels, mc.crop_hw, mc.crop_hw)))
     target = Tensor(np.array([0.7]))
 
     def loss():
         return smooth_l1(forward_scores(model, img), target,
-                         beta=cfg.smooth_l1_beta)
+                         beta=cfg.train.smooth_l1_beta)
 
     err = grad_check(loss, model.named_parameters(), eps=args.eps)
     print(f"max_rel_error={err:.3e} eps={args.eps:.1e} "
@@ -285,15 +207,8 @@ def cmd_attn_map(cfg: RunConfig, args) -> int:
 def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--out", default="out", help="output directory")
-    for f in fields(RunConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.type is bool or f.type == "bool":
-            p.add_argument(flag, default=None, dest=f.name,
-                           type=lambda s, n=f.name: _convert(n, bool, s))
-        else:
-            kind = {int: int, float: float, str: str}.get(
-                f.type, {"int": int, "float": float, "str": str}.get(f.type, str))
-            p.add_argument(flag, default=None, dest=f.name, type=kind)
+    for name in SCHEMA:
+        p.add_argument("--" + name.replace("_", "-"), default=None, dest=name)
 
 
 def make_parser() -> argparse.ArgumentParser:

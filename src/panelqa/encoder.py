@@ -5,7 +5,7 @@ entry points accept (C, H, W) and add the batch axis themselves.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,13 +62,6 @@ class ModelConfig:
     @property
     def mlp_dim(self) -> int:
         return int(round(self.mlp_ratio * self.token_dim))
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 @dataclass

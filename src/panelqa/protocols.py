@@ -79,14 +79,14 @@ def run_split_train_eval(manifest: Manifest, model_cfg: ModelConfig,
                          train_cfg: TrainConfig, run_seed: int,
                          train_frac: float = 0.8,
                          eval_crops: int = 1,
-                         dtype=np.float64,
                          train_manifest: Optional[Manifest] = None,
                          test_manifest: Optional[Manifest] = None
                          ) -> tuple[float, float]:
     """One independent run: fresh split, fresh initialization, train, test."""
     if train_manifest is None or test_manifest is None:
         train_manifest, test_manifest = split(manifest, train_frac, run_seed)
-    model = init_model(model_cfg, Rng(("model", run_seed)), dtype=dtype)
+    model = init_model(model_cfg, Rng(("model", run_seed)),
+                       dtype=train_cfg.dtype)
     cfg = dataclasses.replace(train_cfg, seed=run_seed)
     fit(model, train_manifest, cfg)
     report = evaluate(model, test_manifest, crops_per_image=eval_crops,
@@ -103,14 +103,14 @@ def _aggregate(label: str, rows: list[RunResult]) -> Aggregate:
 
 def protocol_repeats(manifest: Manifest, model_cfg: ModelConfig,
                      train_cfg: TrainConfig, repeats: int = 10,
-                     train_frac: float = 0.8, eval_crops: int = 1,
-                     dtype=np.float64) -> ProtocolReport:
+                     train_frac: float = 0.8, eval_crops: int = 1
+                     ) -> ProtocolReport:
     """k independent splits/initializations; medians and std reported."""
     report = ProtocolReport("repeats")
     for run in range(repeats):
         seed = derive_seed(train_cfg.seed, run)
         s, p = run_split_train_eval(manifest, model_cfg, train_cfg, seed,
-                                    train_frac, eval_crops, dtype)
+                                    train_frac, eval_crops)
         report.results.append(RunResult("", run, seed, s, p))
     report.aggregates.append(_aggregate("", report.results))
     return report
@@ -119,8 +119,7 @@ def protocol_repeats(manifest: Manifest, model_cfg: ModelConfig,
 def protocol_data_efficiency(manifest: Manifest, model_cfg: ModelConfig,
                              train_cfg: TrainConfig, repeats: int = 3,
                              fractions=DATA_EFFICIENCY_FRACTIONS,
-                             eval_crops: int = 1,
-                             dtype=np.float64) -> ProtocolReport:
+                             eval_crops: int = 1) -> ProtocolReport:
     """Sweep the training fraction with a fixed 20% held-out test side."""
     report = ProtocolReport("data-efficiency")
     groups_total = len(manifest.groups())
@@ -137,7 +136,7 @@ def protocol_data_efficiency(manifest: Manifest, model_cfg: ModelConfig,
                 train80.provenance)
             s, p = run_split_train_eval(
                 manifest, model_cfg, train_cfg, seed,
-                eval_crops=eval_crops, dtype=dtype,
+                eval_crops=eval_crops,
                 train_manifest=train_sub, test_manifest=test20)
             rows.append(RunResult(f"frac={frac:.2f}", run, seed, s, p))
         report.results += rows
@@ -148,8 +147,7 @@ def protocol_data_efficiency(manifest: Manifest, model_cfg: ModelConfig,
 def protocol_depth_ablation(manifest: Manifest, model_cfg: ModelConfig,
                             train_cfg: TrainConfig, repeats: int = 3,
                             depths=DEPTH_ABLATION_DEPTHS,
-                            eval_crops: int = 1,
-                            dtype=np.float64) -> ProtocolReport:
+                            eval_crops: int = 1) -> ProtocolReport:
     report = ProtocolReport("depth-ablation")
     for depth in depths:
         cfg_d = dataclasses.replace(model_cfg, decoder_depth=depth)
@@ -157,7 +155,7 @@ def protocol_depth_ablation(manifest: Manifest, model_cfg: ModelConfig,
         for run in range(repeats):
             seed = derive_seed(train_cfg.seed, 2000 * depth + run)
             s, p = run_split_train_eval(manifest, cfg_d, train_cfg, seed,
-                                        eval_crops=eval_crops, dtype=dtype)
+                                        eval_crops=eval_crops)
             rows.append(RunResult(f"depth={depth}", run, seed, s, p))
         report.results += rows
         report.aggregates.append(_aggregate(f"depth={depth}", rows))
@@ -167,8 +165,7 @@ def protocol_depth_ablation(manifest: Manifest, model_cfg: ModelConfig,
 def protocol_component_ablation(manifest: Manifest, model_cfg: ModelConfig,
                                 train_cfg: TrainConfig, repeats: int = 3,
                                 variants=COMPONENT_VARIANTS,
-                                eval_crops: int = 1,
-                                dtype=np.float64) -> ProtocolReport:
+                                eval_crops: int = 1) -> ProtocolReport:
     report = ProtocolReport("component-ablation")
     for vi, variant in enumerate(variants):
         cfg_v = dataclasses.replace(model_cfg, variant=variant)
@@ -176,7 +173,7 @@ def protocol_component_ablation(manifest: Manifest, model_cfg: ModelConfig,
         for run in range(repeats):
             seed = derive_seed(train_cfg.seed, 3000 * (vi + 1) + run)
             s, p = run_split_train_eval(manifest, cfg_v, train_cfg, seed,
-                                        eval_crops=eval_crops, dtype=dtype)
+                                        eval_crops=eval_crops)
             rows.append(RunResult(f"variant={variant}", run, seed, s, p))
         report.results += rows
         report.aggregates.append(_aggregate(f"variant={variant}", rows))

@@ -6,7 +6,7 @@ sample carrying its source image's score.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -18,21 +18,23 @@ from .tensor import NonFiniteError, Rng, Tensor
 
 @dataclass
 class TrainConfig:
+    """Training recipe; ``precision`` must match the model's dtype. Fields
+    with ``"cli": False`` metadata are not configuration keys."""
     epochs: int = 9
     base_lr: float = 2e-4
     lr_decay_factor: float = 10.0
     decay_every_epochs: int = 3
     batch_size: int = 16
     crops_per_image: int = 10
-    seed: int = 0
-    precision: int = 64
     weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     smooth_l1_beta: float = 1.0
     normalize_scores: bool = False
-    log_cls_grads: bool = True
+    seed: int = 0
+    precision: int = 64
+    beta1: float = field(default=0.9, metadata={"cli": False})
+    beta2: float = field(default=0.999, metadata={"cli": False})
+    adam_eps: float = field(default=1e-8, metadata={"cli": False})
+    log_cls_grads: bool = field(default=True, metadata={"cli": False})
 
     def __post_init__(self):
         for name in ("epochs", "base_lr", "lr_decay_factor",
@@ -46,9 +48,6 @@ class TrainConfig:
     @property
     def dtype(self):
         return np.float64 if self.precision == 64 else np.float32
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def smooth_l1(pred: Tensor, target: Tensor, beta: float = 1.0) -> Tensor:
@@ -173,9 +172,13 @@ def fit(model: QualityTransformer, manifest: Manifest, cfg: TrainConfig,
         state: Optional[OptimizerState] = None) -> TrainLog:
     """Train the model in place; returns the per-step log.
 
-    Passing an existing OptimizerState resumes from its step counter."""
+    Passing an existing OptimizerState resumes from its step counter. The
+    model's dtype must match ``cfg.precision``."""
     if len(manifest) == 0:
         raise ValueError("training manifest is empty")
+    if np.dtype(cfg.dtype) != model.dtype:
+        raise ValueError(f"precision {cfg.precision} does not match the "
+                         f"{model.dtype} model")
     params = model.named_parameters()
     if state is None:
         state = OptimizerState.init(params, weight_decay=cfg.weight_decay)

@@ -1,9 +1,20 @@
+import os
+
+# Pin BLAS threads before numpy loads, so suite wall times do not depend on
+# what else runs on the host.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 
 from panelqa.encoder import ModelConfig
 from panelqa.model import init_model
 from panelqa.tensor import Rng, Tensor
+
+
+def pytest_report_header(config):
+    return (f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']} "
+            f"numpy={np.__version__}")
 
 
 def toy_config(**overrides) -> ModelConfig:

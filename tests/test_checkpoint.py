@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -112,6 +113,29 @@ class TestErrors:
         bad.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(str(bad))
+
+    @pytest.mark.parametrize("old,new,names", [
+        (b"token_dim = 16", b"token_dim = 1x", "bad integer for token_dim"),
+        (b"variant = full", b"variant = f\xffll", "config header"),
+        (b"heads = 2", b"heads = 5", "heads 5"),
+        (b"heads = 2\n", b"", "missing config key 'heads'"),
+    ])
+    def test_bad_config_header_names_file_and_key(self, tmp_path, old, new,
+                                                  names):
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, toy_model(seed=6))
+        blob = open(path, "rb").read()
+        (clen,) = struct.unpack("<I", blob[8:12])
+        header = blob[12:12 + clen]
+        assert header.count(old) == 1
+        header = header.replace(old, new)
+        bad = tmp_path / "header.ckpt"
+        bad.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header
+                        + blob[12 + clen:])
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(str(bad))
+        assert str(bad) in str(info.value)
+        assert names in str(info.value)
 
     def test_config_mismatch_on_build(self, tmp_path):
         model = toy_model(seed=7)

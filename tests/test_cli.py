@@ -115,10 +115,11 @@ class TestConfigFile:
 
     def test_defaults_follow_reference_recipe(self):
         cfg = RunConfig()
-        assert (cfg.patch_size, cfg.token_dim, cfg.heads) == (16, 384, 6)
-        assert (cfg.encoder_depth, cfg.decoder_depth, cfg.panel_size) == (12, 1, 6)
-        assert cfg.crop_hw == 224
-        assert (cfg.epochs, cfg.base_lr, cfg.crops_per_image) == (9, 2e-4, 10)
+        mc, tc = cfg.model, cfg.train
+        assert (mc.patch_size, mc.token_dim, mc.heads) == (16, 384, 6)
+        assert (mc.encoder_depth, mc.decoder_depth, mc.panel_size) == (12, 1, 6)
+        assert mc.crop_hw == 224
+        assert (tc.epochs, tc.base_lr, tc.crops_per_image) == (9, 2e-4, 10)
         assert cfg.bases * len(cfg.kinds.split(",")) * cfg.levels == 2000
 
     def test_flag_overrides_file(self, toy_cfg_file):
@@ -126,8 +127,8 @@ class TestConfigFile:
         args = parser.parse_args(["gradcheck", "--config", toy_cfg_file,
                                   "--epochs", "5"])
         cfg = build_run_config(args)
-        assert cfg.epochs == 5          # flag wins
-        assert cfg.token_dim == 16      # file value kept
+        assert cfg.train.epochs == 5        # flag wins
+        assert cfg.model.token_dim == 16    # file value kept
 
     def test_config_echoed_to_out_dir(self, tmp_path, toy_cfg_file):
         out = str(tmp_path / "o")
@@ -174,6 +175,19 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: ")
         assert "\n" not in err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--heads", "5"], "not divisible by heads 5"),
+        (["--epochs", "three"], "bad integer for epochs: 'three'"),
+        (["--base-lr", "fast"], "bad number for base_lr: 'fast'"),
+        (["--normalize-scores", "maybe"], "bad boolean for normalize_scores"),
+    ])
+    def test_invalid_config_rejected_before_work(self, capsys, tmp_path,
+                                                 flags, message):
+        out = tmp_path / "o"
+        assert main(["gen-data", *flags, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_protocol_mode(self, capsys, toy_cfg_file, toy_dataset,
                                    tmp_path):

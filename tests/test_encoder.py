@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import rand_image, toy_config, toy_model
+from panelqa import config
 from panelqa import encoder as enc
 from panelqa.encoder import ModelConfig
 from panelqa.tensor import Rng, ShapeError, Tensor, grad_check
@@ -62,7 +63,8 @@ class TestModelConfig:
 
     def test_roundtrip_dict(self):
         cfg = toy_config()
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        values = config.parse(config.write(cfg), config.keys(ModelConfig), "")
+        assert ModelConfig(**values) == cfg
 
 
 class TestPatchify:

@@ -2,8 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import toy_model
+from conftest import toy_config, toy_model
 from panelqa.data import Manifest, Sample, gen_base_images
+from panelqa.model import init_model
 from panelqa.tensor import NonFiniteError, Rng, Tensor
 from panelqa.training import (OptimizerState, TrainConfig, fit, lr_at,
                               optimizer_step, sample_crops, smooth_l1)
@@ -170,6 +171,24 @@ class TestFit:
     def test_empty_manifest_rejected(self):
         with pytest.raises(ValueError):
             fit(toy_model(), Manifest([]), TrainConfig())
+
+    @pytest.mark.parametrize("dtype,precision", [(np.float64, 32),
+                                                 (np.float32, 64)])
+    def test_precision_mismatch_rejected_before_any_step(self, dtype,
+                                                         precision):
+        model = init_model(toy_config(), Rng(5), dtype=dtype)
+        params = model.named_parameters()
+        before = {k: p.data.copy() for k, p in params.items()}
+        state = OptimizerState.init(params)
+        cfg = TrainConfig(epochs=1, batch_size=4, crops_per_image=1,
+                          precision=precision)
+        with pytest.raises(ValueError, match="precision"):
+            fit(model, tiny_manifest(), cfg, state=state)
+        assert state.step == 0
+        for k, p in params.items():
+            assert p.data.dtype == dtype
+            npt.assert_array_equal(p.data, before[k])
+            assert p.grad is None
 
     def test_log_serialization(self, tmp_path):
         cfg = TrainConfig(epochs=1, batch_size=8, crops_per_image=1, seed=4)
