@@ -20,7 +20,7 @@ from . import protocols as proto
 from .checkpoint import build_model, load_checkpoint, load_optimizer, save_checkpoint
 from .config import ConfigError, build, convert, keys, parse, write
 from .encoder import ModelConfig
-from .metrics import attention_map, evaluate, panel_cosine
+from .metrics import attention_map, center_crop, evaluate, panel_cosine
 from .model import init_model
 from .plots import svg_heatmap, svg_line, svg_scatter
 from .tensor import Rng, Tensor, grad_check
@@ -193,8 +193,7 @@ def cmd_attn_map(cfg: RunConfig, args) -> int:
     out = _prepare_out(cfg, args.out)
     model = build_model(load_checkpoint(args.checkpoint))
     image = dat.read_image(args.image)
-    from .metrics import _center_crop
-    crop = _center_crop(image, model.config.crop_hw).astype(model.dtype)
+    crop = center_crop(image, model.config.crop_hw).astype(model.dtype)
     amap = attention_map(model, Tensor(crop))
     svg_heatmap(os.path.join(out, "attn.svg"), amap, title="quality attention")
     dat.write_ppm(os.path.join(out, "attn.ppm"), np.repeat(amap[None], 3, axis=0))

@@ -52,6 +52,8 @@ def parse(text: str, schema: dict[str, str], where: str) -> dict:
             raise ConfigError(f"{where}:{line_no}: expected 'key = value'")
         if key not in schema:
             raise ConfigError(f"{where}:{line_no}: unknown config key {key!r}")
+        if key in out:
+            raise ConfigError(f"{where}:{line_no}: repeated config key {key!r}")
         out[key] = convert(key, schema[key], value)
     return out
 

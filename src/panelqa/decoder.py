@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
 from .encoder import (AttentionParams, ModelConfig, attention, init_attention,
                       mhsa, _ones, _param, _zeros)
 from .tensor import Rng, Tensor, gelu, layer_norm, matmul
@@ -85,34 +84,28 @@ def panel_inputs(t_cls: Tensor, panel: Tensor) -> Tensor:
 
 def make_queries(x: Tensor, block: QueryBlockParams, heads: int,
                  eps: float = 1e-6) -> Tensor:
-    """Decoder queries: self-attention over the panel inputs plus residual."""
+    """Decoder queries: MHSA over the (B, L, D) panel inputs plus residual."""
     return mhsa(layer_norm(x, block.ln_gain, block.ln_bias, eps),
                 block.attn, heads) + x
 
 
 def cross_attend(queries: Tensor, patch_feats: Tensor, block: CrossBlockParams,
                  heads: int, eps: float = 1e-6):
-    """One decoder layer: MHCA of normed queries over patch features, residual,
-    then the MLP. Returns (output, per-head attention weights (B,h,L,N))."""
+    """One decoder layer: MHCA of normed (B, L, D) queries over (B, N, D)
+    patch features, residual, then the MLP. Returns (output, per-head
+    attention weights (B,h,L,N))."""
     if patch_feats.shape[-2] == 0:
         raise ValueError("cross_attend requires at least one patch feature")
-    single = queries.ndim == 2
-    q = queries.reshape((1,) + queries.shape) if single else queries
-    kv = patch_feats.reshape((1,) + patch_feats.shape) if patch_feats.ndim == 2 else patch_feats
     attended, weights = attention(
-        layer_norm(q, block.lnq_gain, block.lnq_bias, eps), kv, block.attn,
-        heads, return_weights=True)
-    mid = attended + q
-    h = gelu(matmul(mid, block.mlp_w1) + block.mlp_b1)
-    out = matmul(h, block.mlp_w2) + block.mlp_b2
-    if single:
-        out = out.reshape(out.shape[1:])
-        weights = weights[0]
-    return out, weights
+        layer_norm(queries, block.lnq_gain, block.lnq_bias, eps), patch_feats,
+        block.attn, heads, return_weights=True)
+    mid = attended + queries
+    h = gelu(matmul(mid, block.mlp_w1, block.mlp_b1))
+    return matmul(h, block.mlp_w2, block.mlp_b2), weights
 
 
 def score_head(embeddings: Tensor, head: HeadParams) -> Tensor:
     """Apply the shared MLP head per row: (..., L, D) -> (..., L)."""
-    h = gelu(matmul(embeddings, head.w1) + head.b1)
-    out = matmul(h, head.w2) + head.b2
+    h = gelu(matmul(embeddings, head.w1, head.b1))
+    out = matmul(h, head.w2, head.b2)
     return out.reshape(out.shape[:-1])

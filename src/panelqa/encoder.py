@@ -1,16 +1,17 @@
 """ViT-style encoder: patch embedding, CLS token, pre-norm MHSA/MLP blocks.
 
-All forward functions are batched: token tensors are (B, M, D). Single-image
-entry points accept (C, H, W) and add the batch axis themselves.
+All forward functions are batched only: images are (B, C, H, W) and token
+tensors (B, M, D).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Rng, ShapeError, Tensor, gelu, layer_norm, matmul,
-                     softmax_lastdim)
+from .tensor import Rng, ShapeError, Tensor, gelu, layer_norm, matmul
+from .tensor import softmax_lastdim  # noqa: F401  perfbench wraps it here
 
 VARIANTS = ("full", "encoder_only", "panel_no_decoder",
             "decoder_random_queries", "decoder_cls_queries")
@@ -140,23 +141,20 @@ def init_embedding(cfg: ModelConfig, rng: Rng, dtype) -> EmbeddingParams:
 
 
 def patchify(image: Tensor, p: int) -> Tensor:
-    """Cut (C,H,W) or (B,C,H,W) into non-overlapping p x p patches.
+    """Cut (B,C,H,W) images into non-overlapping p x p patches, (B, N, C*p*p).
 
     Patches are ordered row-major over the patch grid; each patch is
     flattened channel-major, then row-major within the patch.
     """
-    single = image.ndim == 3
-    x = image.reshape((1,) + image.shape) if single else image
-    if x.ndim != 4:
-        raise ShapeError(f"patchify expects (C,H,W) or (B,C,H,W), got {image.shape}")
-    B, C, H, W = x.shape
+    if image.ndim != 4:
+        raise ShapeError(f"patchify expects (B,C,H,W), got {image.shape}")
+    B, C, H, W = image.shape
     if H % p != 0 or W % p != 0:
         raise ShapeError(f"image {H}x{W} not divisible by patch size {p}")
     gh, gw = H // p, W // p
-    x = x.reshape(B, C, gh, p, gw, p)
+    x = image.reshape(B, C, gh, p, gw, p)
     x = x.transpose(0, 2, 4, 1, 3, 5)        # (B, gh, gw, C, p, p)
-    x = x.reshape(B, gh * gw, C * p * p)
-    return x.reshape(gh * gw, C * p * p) if single else x
+    return x.reshape(B, gh * gw, C * p * p)
 
 
 def unpatchify(patches: np.ndarray, p: int, channels: int, hw: int) -> np.ndarray:
@@ -166,84 +164,128 @@ def unpatchify(patches: np.ndarray, p: int, channels: int, hw: int) -> np.ndarra
     return x.transpose(2, 0, 3, 1, 4).reshape(channels, hw, hw)
 
 
-def embed(image: Tensor, params: EmbeddingParams) -> Tensor:
-    """Project patches to tokens, prepend CLS, add position embedding.
-
-    Returns (B, N+1, D); accepts (C,H,W) or (B,C,H,W) input.
-    """
-    D = params.patch_proj_w.shape[1]
-    p2c = params.patch_proj_w.shape[0]
-    # patch_size from projection row count and channel count of the image
-    chans = image.shape[-3]
-    p = int(round((p2c / chans) ** 0.5))
-    patches = patchify(image if image.ndim == 4 else image.reshape((1,) + image.shape), p)
-    tokens = matmul(patches, params.patch_proj_w) + params.patch_proj_b
-    B, N, _ = tokens.shape
-    cls_rows = params.cls_token.reshape(1, 1, D) * Tensor(np.ones((B, 1, 1), dtype=image.dtype))
-    seq = _concat_tokens(cls_rows, tokens)
-    return seq + params.pos_embed
+def embed(image: Tensor, params: EmbeddingParams, patch_size: int) -> Tensor:
+    """Project (B,C,H,W) patches to tokens, prepend CLS, add position
+    embedding. Returns (B, N+1, D)."""
+    rows = params.patch_proj_w.shape[0]
+    patches = patchify(image, patch_size)
+    if patches.shape[-1] != rows:
+        raise ShapeError(f"image has {image.shape[1]} channels, the patch "
+                         f"projection expects {rows // patch_size ** 2}")
+    tokens = matmul(patches, params.patch_proj_w, params.patch_proj_b)
+    return _prepend_cls(params.cls_token, tokens) + params.pos_embed
 
 
-def _concat_tokens(head: Tensor, rest: Tensor) -> Tensor:
-    """Concatenate along the token axis: (B,1,D) ++ (B,N,D) -> (B,N+1,D)."""
-    out = np.concatenate([head.data, rest.data], axis=1)
-    n_head = head.shape[1]
+def _prepend_cls(cls: Tensor, rest: Tensor) -> Tensor:
+    """The (1, D) CLS row ahead of each (N, D) sequence: (B, N+1, D)."""
+    B, _, D = rest.shape
+    out = np.concatenate([np.broadcast_to(cls.data, (B, 1, D)), rest.data], 1)
 
     def vjp(g):
-        return (g[:, :n_head], g[:, n_head:])
+        return (g[:, 0].sum(axis=0, keepdims=True), g[:, 1:])
 
-    return Tensor._make(out, (head, rest), vjp, "concat")
+    return Tensor._make(out, (cls, rest), vjp, "concat")
+
+
+def _heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """The (B, h, M, d) view of (B, M, h*d) ``x``; a product written into it
+    with ``out=`` merges the heads in place."""
+    B, M, D = x.shape
+    return x.reshape(B, M, heads, D // heads).transpose(0, 2, 1, 3)
 
 
 def attention(q_in: Tensor, kv_in: Tensor, params: AttentionParams,
               heads: int, return_weights: bool = False):
-    """Multi-head attention; self-attention when q_in is kv_in.
+    """Multi-head attention as one tape node; self-attention when q_in is
+    kv_in.
 
     q_in: (B, M, D), kv_in: (B, Mk, D). Returns (B, M, D) and, on request,
-    the per-head weight array (B, heads, M, Mk).
+    the per-head weight array (B, heads, M, Mk). Self-attention projects
+    Q, K and V with one (D, 3D) product, cross-attention K and V with one
+    (D, 2D) product; the stored wq/wk/wv are concatenated per call.
     """
+    if not (q_in.ndim == kv_in.ndim == 3
+            and q_in.shape[::2] == kv_in.shape[::2]):
+        raise ShapeError(f"attention expects (B, M, D) and (B, Mk, D) tokens, "
+                         f"got {q_in.shape} and {kv_in.shape}")
     B, M, D = q_in.shape
-    Mk = kv_in.shape[1]
-    d = D // heads
+    p = params
+    fused = q_in is kv_in
+    # (input, weight, bias) of each input projection; their outputs, side by
+    # side, are Q|K|V
+    if fused:
+        groups = [(q_in, (p.wq, p.wk, p.wv), (p.bq, p.bk, p.bv))]
+    else:
+        groups = [(q_in, (p.wq,), (p.bq,)),
+                  (kv_in, (p.wk, p.wv), (p.bk, p.bv))]
+    projs = [(x.data, np.concatenate([w.data for w in ws], axis=1),
+              np.concatenate([b.data for b in bs])) for x, ws, bs in groups]
+    ys = [x @ w + b for x, w, b in projs]
 
-    def split_heads(x, m):
-        return x.reshape(B, m, heads, d).transpose(0, 2, 1, 3)
+    def qkv(arrays):
+        return (_heads(arrays[0][..., :D], heads),
+                _heads(arrays[-1][..., -2 * D:-D], heads),
+                _heads(arrays[-1][..., -D:], heads))
 
-    q = split_heads(matmul(q_in, params.wq) + params.bq, M)
-    k = split_heads(matmul(kv_in, params.wk) + params.bk, Mk)
-    v = split_heads(matmul(kv_in, params.wv) + params.bv, Mk)
-    scores = matmul(q, k.swap_last2()) * (1.0 / np.sqrt(d))
-    weights = softmax_lastdim(scores)                       # (B, h, M, Mk)
-    ctx = matmul(weights, v)                                # (B, h, M, d)
-    ctx = ctx.transpose(0, 2, 1, 3).reshape(B, M, D)        # concat heads
-    out = matmul(ctx, params.wo) + params.bo
+    q, k, v = qkv(ys)
+    scale = 1.0 / math.sqrt(D // heads)
+    wgt = q @ k.swapaxes(-1, -2)
+    wgt *= scale
+    wgt -= wgt.max(axis=-1, keepdims=True)
+    np.exp(wgt, out=wgt)
+    wgt /= wgt.sum(axis=-1, keepdims=True)                  # (B, h, M, Mk)
+    ctx = np.empty((B, M, D), wgt.dtype)
+    np.matmul(wgt, v, out=_heads(ctx, heads))
+
+    def vjp(g):
+        g2 = g.reshape(-1, D)
+        gctx = _heads((g2 @ p.wo.data.T).reshape(B, M, D), heads)
+        gs = gctx @ v.swapaxes(-1, -2)
+        gs -= (gs * wgt).sum(axis=-1, keepdims=True)
+        gs *= wgt
+        gs *= scale                                         # d scores
+        gys = [np.empty(y.shape, y.dtype) for y in ys]
+        gq, gk, gv = qkv(gys)
+        np.matmul(gs, k, out=gq)
+        np.matmul(gs.swapaxes(-1, -2), q, out=gk)
+        np.matmul(wgt.swapaxes(-1, -2), gctx, out=gv)
+        gys = [gy.reshape(-1, gy.shape[-1]) for gy in gys]
+        gx = [(gy @ w.T).reshape(x.shape) for (x, w, _), gy in zip(projs, gys)]
+        gw = [x.reshape(-1, D).T @ gy for (x, _, _), gy in zip(projs, gys)]
+        gw = np.split(np.concatenate(gw, axis=1), 3, axis=1)
+        gb = np.split(np.concatenate([gy.sum(axis=0) for gy in gys]), 3)
+        return (gx[0], None if fused else gx[1], gw[0], gb[0], gw[1], gb[1],
+                gw[2], gb[2], ctx.reshape(-1, D).T @ g2, g2.sum(axis=0))
+
+    out = Tensor._make(ctx @ p.wo.data + p.bo.data,
+                       (q_in, kv_in, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv,
+                        p.wo, p.bo), vjp, "attention")
     if return_weights:
-        return out, weights.data.copy()
+        return out, wgt.copy()
     return out
 
 
 def mhsa(tokens: Tensor, params: AttentionParams, heads: int) -> Tensor:
-    """Self-attention over one token sequence; accepts (M,D) or (B,M,D)."""
-    single = tokens.ndim == 2
-    x = tokens.reshape((1,) + tokens.shape) if single else tokens
-    out = attention(x, x, params, heads)
-    return out.reshape(out.shape[1:]) if single else out
+    """Self-attention over (B, M, D) tokens."""
+    return attention(tokens, tokens, params, heads)
 
 
 def encoder_block(tokens: Tensor, block: EncoderBlockParams, heads: int,
                   eps: float = 1e-6) -> Tensor:
-    """Pre-norm transformer block: MHSA then MLP, each with a residual."""
+    """Pre-norm transformer block over (B, M, D) tokens: MHSA then MLP, each
+    with a residual."""
     zm = mhsa(layer_norm(tokens, block.ln1_gain, block.ln1_bias, eps),
               block.attn, heads) + tokens
     h = gelu(matmul(layer_norm(zm, block.ln2_gain, block.ln2_bias, eps),
-                    block.mlp_w1) + block.mlp_b1)
-    return matmul(h, block.mlp_w2) + block.mlp_b2 + zm
+                    block.mlp_w1, block.mlp_b1))
+    return matmul(h, block.mlp_w2, block.mlp_b2) + zm
 
 
 def encode(image: Tensor, embedding: EmbeddingParams,
-           blocks: list[EncoderBlockParams], heads: int) -> Tensor:
+           blocks: list[EncoderBlockParams], heads: int,
+           patch_size: int) -> Tensor:
     """Full encoder: embed then the block stack. Returns (B, N+1, D)."""
-    x = embed(image, embedding)
+    x = embed(image, embedding, patch_size)
     for block in blocks:
         x = encoder_block(x, block, heads)
     return x

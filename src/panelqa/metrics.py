@@ -142,7 +142,7 @@ def panel_cosine(model: QualityTransformer, manifest: Manifest) -> PanelDiagnost
     mats, spreads = [], []
     for sample in manifest.samples:
         img = load_image(sample)
-        crop = _center_crop(img, hw).astype(model.dtype)
+        crop = center_crop(img, hw).astype(model.dtype)
         pred = predict(model, Tensor(crop))
         if pred.quality_embeddings is None:
             raise MetricError(
@@ -153,7 +153,8 @@ def panel_cosine(model: QualityTransformer, manifest: Manifest) -> PanelDiagnost
                             score_spread=np.array(spreads))
 
 
-def _center_crop(image: np.ndarray, hw: int) -> np.ndarray:
+def center_crop(image: np.ndarray, hw: int) -> np.ndarray:
+    """The central hw x hw window of a (C, H, W) image."""
     _, H, W = image.shape
     if H < hw or W < hw:
         raise ValueError(f"image {H}x{W} smaller than crop {hw}")

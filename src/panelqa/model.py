@@ -17,7 +17,7 @@ import numpy as np
 from . import decoder as dec
 from . import encoder as enc
 from .encoder import EmbeddingParams, EncoderBlockParams, ModelConfig
-from .tensor import Rng, Tensor, no_grad
+from .tensor import Rng, ShapeError, Tensor, no_grad
 
 
 @dataclass
@@ -99,7 +99,8 @@ def forward_panel(model: QualityTransformer, images: Tensor,
     (B, L', D) or None, attention weight list per decoder layer).
     """
     cfg = model.config
-    z = enc.encode(images, model.embedding, model.enc_blocks, cfg.heads)
+    z = enc.encode(images, model.embedding, model.enc_blocks, cfg.heads,
+                   cfg.patch_size)
     cls = z[:, 0:1, :]            # (B, 1, D)
     patches = z[:, 1:, :]         # (B, N, D)
     B = images.shape[0]
@@ -149,10 +150,11 @@ def predict(model: QualityTransformer, image: Tensor) -> Prediction:
     """Score a single (C, H, W) image with full diagnostics attached.
 
     Inference only: the forward records no autodiff tape."""
-    batch = image.reshape((1,) + image.shape) if image.ndim == 3 else image
+    if image.ndim != 3:
+        raise ShapeError(f"predict takes a (C, H, W) image, got {image.shape}")
     with no_grad():
-        panel_scores, embeddings, maps = forward_panel(model, batch,
-                                                       collect_weights=True)
+        panel_scores, embeddings, maps = forward_panel(
+            model, image.reshape((1,) + image.shape), collect_weights=True)
     ps = panel_scores.data[0]
     return Prediction(
         score=float(ps.mean()),

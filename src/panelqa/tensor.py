@@ -246,11 +246,6 @@ class Tensor:
                             (self,),
                             lambda g: (g.transpose(inv),), "transpose")
 
-    def swap_last2(self) -> "Tensor":
-        axes = list(range(self.ndim))
-        axes[-1], axes[-2] = axes[-2], axes[-1]
-        return self.transpose(*axes)
-
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False) -> "Tensor":
@@ -272,14 +267,20 @@ class Tensor:
 
 # -- free-function primitives ------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy batch broadcasting on leading axes."""
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Matrix product with numpy batch broadcasting on leading axes; with
+    `bias` (2-D `b` only), the affine map ``a @ b + bias`` as one node."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(
             f"matmul inner extents differ: {a.shape} @ {b.shape}")
     out = a.data @ b.data
+    if bias is not None:
+        if b.ndim != 2 or bias.shape != b.shape[-1:]:
+            raise ShapeError(
+                f"matmul bias {bias.shape} needs a 2-D weight, got {b.shape}")
+        out += bias.data
 
     def vjp(g):
         if b.ndim == 2:
@@ -287,12 +288,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             g2 = g.reshape(-1, g.shape[-1])
             ga = (g2 @ b.data.T).reshape(a.shape)
             gb = a.data.reshape(-1, a.shape[-1]).T @ g2
-            return (ga, gb)
+            return (ga, gb, g2.sum(axis=0))
         ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
         gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
         return (ga, gb)
 
-    return Tensor._make(out, (a, b), vjp, "matmul")
+    parents = (a, b) if bias is None else (a, b, bias)
+    return Tensor._make(out, parents, vjp, "matmul")
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:
@@ -309,26 +311,34 @@ def softmax_lastdim(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    Row means are GEMVs against a constant 1/n vector, one pass each."""
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = xhat * gain.data + bias.data
     n = x.shape[-1]
+    rows = x.data.reshape(-1, n)
+    mean_of = np.full(n, 1.0 / n, dtype=x.dtype)
+    xc = rows - (rows @ mean_of)[:, None]
+    inv = 1.0 / np.sqrt((xc * xc) @ mean_of + eps)[:, None]
+    xhat = np.multiply(xc, inv, out=xc)
+    out = xhat * gain.data
+    out += bias.data
 
     def vjp(g):
-        gh = g * gain.data
-        dx = inv * (gh - gh.mean(axis=-1, keepdims=True)
-                    - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
-        lead = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=lead)
-        dbias = g.sum(axis=lead)
-        return (dx, dgain, dbias)
+        g2 = g.reshape(-1, n)
+        gx = g2 * xhat
+        ones = np.ones(len(g2), dtype=g2.dtype)
+        # row means of g*gain and g*gain*xhat, as GEMVs against gain/n
+        gain_n = gain.data / n
+        dx = g2 * gain.data
+        dx -= (g2 @ gain_n)[:, None]
+        dx -= xhat * (gx @ gain_n)[:, None]
+        dx *= inv
+        return (dx.reshape(x.shape), ones @ gx, ones @ g2)
 
-    return Tensor._make(out, (x, gain, bias), vjp, "layer_norm")
+    return Tensor._make(out.reshape(x.shape), (x, gain, bias), vjp,
+                        "layer_norm")
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

@@ -34,6 +34,10 @@ def rand_image(cfg: ModelConfig, rng: Rng) -> Tensor:
     return Tensor(rng.uniform((cfg.channels, cfg.crop_hw, cfg.crop_hw)))
 
 
+def batched(image: Tensor) -> Tensor:
+    return image.reshape((1,) + image.shape)
+
+
 @pytest.fixture
 def cfg():
     return toy_config()

@@ -117,13 +117,13 @@ class TestCriterion2:
             # mhsa against the loop oracle
             p = init_attention(cfg, rng.child(0), np.float64)
             x = rng.normal((9, D))
-            got = mhsa(Tensor(x), p, h).data
+            got = mhsa(Tensor(x[None]), p, h).data[0]
             worst = max(worst, np.abs(got - naive_attention(x, x, p, h)).max())
             # make_queries: MHSA(Norm(cls + panel)) + (cls + panel)
             qb = init_query_block(cfg, rng.child(1), np.float64)
             q_in = panel_inputs(Tensor(rng.normal((1, D))),
                                 Tensor(rng.normal((L, D)))).data
-            got_q = make_queries(Tensor(q_in), qb, h).data
+            got_q = make_queries(Tensor(q_in[None]), qb, h).data[0]
             normed = np.stack([naive_ln(r, qb.ln_gain.data, qb.ln_bias.data)
                                for r in q_in])
             want_q = naive_attention(normed, normed, qb.attn, h) + q_in
@@ -132,13 +132,13 @@ class TestCriterion2:
             cb = init_cross_block(cfg, rng.child(2), np.float64)
             q2 = rng.normal((L, D))
             kv = rng.normal((7, D))
-            out, _ = cross_attend(Tensor(q2), Tensor(kv), cb, h)
+            out, _ = cross_attend(Tensor(q2[None]), Tensor(kv[None]), cb, h)
             nq = np.stack([naive_ln(r, cb.lnq_gain.data, cb.lnq_bias.data)
                            for r in q2])
             mid = naive_attention(nq, kv, cb.attn, h) + q2
             hid = naive_gelu(mid @ cb.mlp_w1.data + cb.mlp_b1.data)
             want_c = hid @ cb.mlp_w2.data + cb.mlp_b2.data
-            worst = max(worst, np.abs(out.data - want_c).max())
+            worst = max(worst, np.abs(out.data[0] - want_c).max())
         assert worst <= 1e-10
 
 
@@ -188,8 +188,9 @@ class TestCriterion5:
         model.embedding.pos_embed.data[...] = 0
         cfg = model.config
         img = rand_image(cfg, Rng(34))
-        patches = patchify(img, cfg.patch_size).data       # (N, C*p*p)
-        z = encode(batched(img), model.embedding, model.enc_blocks, cfg.heads)
+        patches = patchify(batched(img), cfg.patch_size).data[0]  # (N, C*p*p)
+        z = encode(batched(img), model.embedding, model.enc_blocks, cfg.heads,
+                   cfg.patch_size)
         base_cls = z.data[0, 0]
         base_score = float(forward_scores(model, batched(img)).data[0])
         g, p = cfg.grid, cfg.patch_size
@@ -200,7 +201,7 @@ class TestCriterion5:
             img_p = Tensor(np.ascontiguousarray(
                 tile.reshape(3, g * p, g * p)))
             zp = encode(batched(img_p), model.embedding, model.enc_blocks,
-                        cfg.heads)
+                        cfg.heads, cfg.patch_size)
             assert np.abs(zp.data[0, 0] - base_cls).max() <= 1e-5
             got = float(forward_scores(model, batched(img_p)).data[0])
             assert abs(got - base_score) <= 1e-5

@@ -119,6 +119,8 @@ class TestErrors:
         (b"variant = full", b"variant = f\xffll", "config header"),
         (b"heads = 2", b"heads = 5", "heads 5"),
         (b"heads = 2\n", b"", "missing config key 'heads'"),
+        (b"heads = 2\n", b"heads = 2\nheads = 4\n",
+         ":4: repeated config key 'heads'"),
     ])
     def test_bad_config_header_names_file_and_key(self, tmp_path, old, new,
                                                   names):

@@ -107,6 +107,15 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="bad integer"):
             parse_config_file(str(p))
 
+    def test_repeated_key_rejected(self, capsys, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("heads = 2\nepochs = 3\nheads = 4\n")
+        out = tmp_path / "o"
+        assert main(["gen-data", "--config", str(p), "--out", str(out)]) == 1
+        assert (f"{p}:3: repeated config key 'heads'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_missing_equals_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("epochs 3\n")

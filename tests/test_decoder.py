@@ -4,11 +4,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import rand_image, toy_config, toy_model
+from conftest import batched, rand_image, toy_config, toy_model
 from panelqa import decoder as dec
 from panelqa import encoder as enc
 from panelqa import model as mdl
-from panelqa.tensor import Rng, Tensor, grad_check
+from panelqa.tensor import Rng, ShapeError, Tensor, grad_check
 from test_encoder import naive_attention
 
 
@@ -36,8 +36,8 @@ class TestPanelInputs:
 class TestMakeQueries:
     def test_identical_rows_stay_identical(self, model):
         row = Rng(4).normal((1, 16))
-        x = Tensor(np.repeat(row, 3, axis=0))
-        out = dec.make_queries(x, model.query_block, model.config.heads).data
+        x = Tensor(np.repeat(row, 3, axis=0)[None])
+        out = dec.make_queries(x, model.query_block, model.config.heads).data[0]
         npt.assert_allclose(out, np.repeat(out[:1], 3, axis=0), atol=1e-12)
 
     def test_zeroed_projection_is_residual_only(self, model):
@@ -45,7 +45,7 @@ class TestMakeQueries:
         qb.attn.wo.data[...] = 0
         qb.attn.bo.data[...] = 0
         x = Rng(5).normal((3, 16))
-        out = dec.make_queries(Tensor(x), qb, model.config.heads).data
+        out = dec.make_queries(Tensor(x[None]), qb, model.config.heads).data[0]
         npt.assert_allclose(out, x, atol=1e-12)
 
     def test_vs_naive_oracle_20_seeds(self, model):
@@ -53,7 +53,7 @@ class TestMakeQueries:
         heads = model.config.heads
         for seed in range(20):
             x = Rng(100 + seed).normal((3, 16))
-            got = dec.make_queries(Tensor(x), qb, heads).data
+            got = dec.make_queries(Tensor(x[None]), qb, heads).data[0]
             normed = _naive_layer_norm(x, qb.ln_gain.data, qb.ln_bias.data)
             want = naive_attention(normed, normed, qb.attn, heads) + x
             assert np.max(np.abs(got - want)) <= 1e-10
@@ -76,20 +76,20 @@ class TestCrossAttend:
         heads = model.config.heads
         rng = Rng(6)
         qrow = rng.normal((1, 16))
-        q = Tensor(np.repeat(qrow, 3, axis=0))
-        kv = Tensor(np.repeat(rng.normal((1, 16)), 9, axis=0))
+        q = Tensor(np.repeat(qrow, 3, axis=0)[None])
+        kv = Tensor(np.repeat(rng.normal((1, 16)), 9, axis=0)[None])
         out, w = dec.cross_attend(q, kv, cb, heads)
-        npt.assert_allclose(out.data, np.repeat(out.data[:1], 3, axis=0),
+        npt.assert_allclose(out.data[0], np.repeat(out.data[0, :1], 3, axis=0),
                             atol=1e-12)
 
     def test_weight_rows_sum_to_one(self, model):
         cb = model.cross_blocks[0]
         rng = Rng(7)
-        q = Tensor(rng.normal((3, 16)))
-        kv = Tensor(rng.normal((9, 16)))
+        q = Tensor(rng.normal((3, 16))[None])
+        kv = Tensor(rng.normal((9, 16))[None])
         _, w = dec.cross_attend(q, kv, cb, model.config.heads)
-        assert w.shape == (model.config.heads, 3, 9)
-        npt.assert_allclose(w.sum(axis=-1), np.ones((2, 3)), atol=1e-6)
+        assert w.shape == (1, model.config.heads, 3, 9)
+        npt.assert_allclose(w[0].sum(axis=-1), np.ones((2, 3)), atol=1e-6)
 
     def test_vs_naive_oracle_20_seeds(self, model):
         cb = model.cross_blocks[0]
@@ -98,18 +98,19 @@ class TestCrossAttend:
             rng = Rng(200 + seed)
             q = rng.normal((3, 16))
             kv = rng.normal((9, 16))
-            got, _ = dec.cross_attend(Tensor(q), Tensor(kv), cb, heads)
+            got, _ = dec.cross_attend(Tensor(q[None]), Tensor(kv[None]), cb,
+                                      heads)
             mid = naive_attention(
                 _naive_layer_norm(q, cb.lnq_gain.data, cb.lnq_bias.data),
                 kv, cb.attn, heads) + q
             h = _naive_gelu(mid @ cb.mlp_w1.data + cb.mlp_b1.data)
             want = h @ cb.mlp_w2.data + cb.mlp_b2.data
-            assert np.max(np.abs(got.data - want)) <= 1e-10
+            assert np.max(np.abs(got.data[0] - want)) <= 1e-10
 
     def test_empty_patches_rejected(self, model):
         with pytest.raises(ValueError):
-            dec.cross_attend(Tensor(np.zeros((3, 16))),
-                             Tensor(np.zeros((0, 16))),
+            dec.cross_attend(Tensor(np.zeros((1, 3, 16))),
+                             Tensor(np.zeros((1, 0, 16))),
                              model.cross_blocks[0], model.config.heads)
 
 
@@ -120,6 +121,11 @@ class TestPredict:
         assert abs(pred.score - pred.panel_scores.mean()) <= 1e-6
         assert pred.panel_scores.shape == (3,)
         assert pred.quality_embeddings.shape == (3, 16)
+
+    def test_batch_rejected(self, model):
+        img = batched(rand_image(model.config, Rng(8)))
+        with pytest.raises(ShapeError, match=r"\(C, H, W\) image"):
+            mdl.predict(model, img)
 
     def test_zero_panel_scores_coincide(self, model):
         model.panel.data[...] = 0
@@ -155,7 +161,7 @@ class TestPredict:
         model.embedding.pos_embed.data[...] = 0
         rng = Rng(12)
         img = rand_image(model.config, rng)
-        patches = enc.patchify(img, 4).data
+        patches = enc.patchify(batched(img), 4).data[0]
         base = mdl.predict(model, img).score
         for _ in range(3):
             perm = rng.permutation(9)
@@ -168,6 +174,26 @@ class TestPredict:
         assert pred.attn_maps[0].shape == (2, 3, 9)
         npt.assert_allclose(pred.attn_maps[0].sum(axis=-1),
                             np.ones((2, 3)), atol=1e-6)
+
+
+class TestTapeNodes:
+    def test_criterion7_forward_panel_node_count(self, monkeypatch):
+        # each attention and each affine map (with its bias) is one node
+        cfg = toy_config(patch_size=4, token_dim=64, heads=4, encoder_depth=4,
+                         decoder_depth=1, panel_size=6, mlp_ratio=4.0,
+                         crop_hw=16)
+        model = mdl.init_model(cfg, Rng(0), dtype=np.float32)
+        made = []
+        make = Tensor._make
+
+        def counting(*args, **kwargs):
+            made.append(args[3])
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(counting))
+        mdl.forward_panel(model, Tensor(np.zeros((2, 3, 16, 16), np.float32)))
+        assert len(made) == 54
+        assert made.count("attention") == 4 + 1 + 1
 
 
 class TestVariants:

@@ -91,6 +91,30 @@ class TestMatmul:
         assert np.max(np.abs(w.grad - want_w)) <= 1e-12
 
 
+class TestMatmulBias:
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
+    def test_matches_matmul_plus_bias(self, shape):
+        rng = Rng(24)
+        a0, w0, b0 = rng.normal(shape), rng.normal((4, 6)), rng.normal((6,))
+        upstream = rng.normal(shape[:-1] + (6,))
+        results = []
+        for fused in (True, False):
+            a, w, b = (Tensor(v.copy(), requires_grad=True)
+                       for v in (a0, w0, b0))
+            out = matmul(a, w, b) if fused else matmul(a, w) + b
+            (out * Tensor(upstream)).sum().backward()
+            results.append((out.data, a.grad, w.grad, b.grad))
+        for got, want in zip(*results):
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_bias_needs_2d_weight_and_matching_width(self):
+        a = Tensor(np.ones((2, 3, 4)))
+        with pytest.raises(ShapeError):
+            matmul(a, Tensor(np.ones((2, 4, 5))), Tensor(np.ones(5)))
+        with pytest.raises(ShapeError):
+            matmul(a, Tensor(np.ones((4, 5))), Tensor(np.ones(4)))
+
+
 class TestSoftmax:
     def test_symmetry(self):
         out = softmax_lastdim(Tensor([0.0, 0.0]))
@@ -131,6 +155,31 @@ class TestLayerNorm:
         g, b = self.g_b(8)
         out = layer_norm(Tensor(rng.normal((5, 8))), g, b)
         npt.assert_allclose(out.data.mean(axis=-1), np.zeros(5), atol=1e-6)
+
+    @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12),
+                                            (np.float32, 1e-5)])
+    def test_matches_two_pass_formula(self, dtype, atol):
+        # the numpy mean/var forward and mean-based vjp layer_norm had before
+        # its row means became GEMVs
+        rng = Rng(25)
+        x = rng.normal((3, 5, 8), dtype=dtype)
+        gain = rng.normal((8,), dtype=dtype)
+        bias = rng.normal((8,), dtype=dtype)
+        g = rng.normal((3, 5, 8), dtype=dtype)
+        mu = x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-6)
+        xhat = (x - mu) * inv
+        gh = g * gain
+        want = [xhat * gain + bias,
+                inv * (gh - gh.mean(axis=-1, keepdims=True)
+                       - xhat * (gh * xhat).mean(axis=-1, keepdims=True)),
+                (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1))]
+        xt, gt, bt = (Tensor(v, requires_grad=True) for v in (x, gain, bias))
+        out = layer_norm(xt, gt, bt)
+        (out * Tensor(g)).sum().backward()
+        for got, ref in zip((out.data, xt.grad, gt.grad, bt.grad), want):
+            assert got.dtype == dtype
+            npt.assert_allclose(got, ref, atol=atol, rtol=0)
 
     def test_bad_eps(self):
         g, b = self.g_b(2)
@@ -290,6 +339,26 @@ class TestGradCheck:
         weight = Tensor(rng.normal((2, 3, 5)))
         err = grad_check(lambda: (matmul(a, w) * weight).sum(),
                          {"a": a, "w": w}, eps=1e-4)
+        assert err <= 1e-6
+
+    def test_matmul_bias(self):
+        rng = Rng(20)
+        a = Tensor(rng.normal((2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal((4, 5)), requires_grad=True)
+        b = Tensor(rng.normal((5,)), requires_grad=True)
+        weight = Tensor(rng.normal((2, 3, 5)))
+        err = grad_check(lambda: (matmul(a, w, b) * weight).sum(),
+                         {"a": a, "w": w, "b": b}, eps=1e-4)
+        assert err <= 1e-6
+
+    def test_layer_norm(self):
+        rng = Rng(21)
+        x = Tensor(rng.normal((2, 3, 6)), requires_grad=True)
+        gain = Tensor(rng.normal((6,)), requires_grad=True)
+        bias = Tensor(rng.normal((6,)), requires_grad=True)
+        weight = Tensor(rng.normal((2, 3, 6)))
+        err = grad_check(lambda: (layer_norm(x, gain, bias) * weight).sum(),
+                         {"x": x, "gain": gain, "bias": bias}, eps=1e-4)
         assert err <= 1e-6
 
     def test_rejects_float32(self):
