@@ -6,6 +6,7 @@ Layout (all integers little-endian):
 Tensor record: u32 name_len | name utf-8 | u8 dtype (1=f32, 2=f64) |
   u32 rank | rank x u64 dims | raw little-endian element bytes.
 Optimizer moment tensors are stored with "opt.m." / "opt.v." name prefixes.
+Every tensor has the model's dtype; a file that mixes dtypes is rejected.
 The config is the model's ``key = value`` text, written and read by
 ``panelqa.config`` like ``config.txt``; a header must name every
 ``ModelConfig`` key, and a malformed one fails naming the file and the key.
@@ -127,8 +128,15 @@ def load_checkpoint(path: str) -> Checkpoint:
         (has_opt,) = struct.unpack("<B", _read_exact(fh, 1, "optimizer flag"))
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         tensors, opt_m, opt_v = {}, {}, {}
-        for _ in range(count):
+        for i in range(count):
             name, arr = _read_tensor(fh)
+            if i == 0:
+                first = (name, arr.dtype)
+            elif arr.dtype != first[1]:
+                raise CheckpointError(
+                    f"{path}: tensor {name} is {arr.dtype}, but the first "
+                    f"tensor {first[0]} is {first[1]}; a checkpoint holds "
+                    f"one dtype")
             if name.startswith("opt.m."):
                 opt_m[name[6:]] = arr
             elif name.startswith("opt.v."):
@@ -167,11 +175,10 @@ def build_model(ckpt: Checkpoint, config: Optional[ModelConfig] = None
     return model
 
 
-def load_optimizer(ckpt: Checkpoint, params: dict[str, Tensor],
-                   weight_decay: float = 1e-4) -> OptimizerState:
+def load_optimizer(ckpt: Checkpoint, params: dict[str, Tensor]) -> OptimizerState:
     if ckpt.opt_m is None:
         raise CheckpointError("checkpoint carries no optimizer state")
-    state = OptimizerState.init(params, weight_decay=weight_decay)
+    state = OptimizerState.init(params)
     state.step = ckpt.step
     for name in params:
         if name not in ckpt.opt_m:

@@ -3,15 +3,17 @@ gradient checking, and diagnostics.
 
 Configuration is plain ``key = value`` text with ``#`` comments, read by
 ``panelqa.config``; command-line flags override file values, and the effective
-configuration is echoed into every output directory. Unknown keys and invalid
-values are rejected before any computation.
+configuration is echoed into every output directory. Commands that read a
+checkpoint take its model keys, and reject a differing one set in the file or
+by a flag. Unknown keys and invalid values are rejected before any
+computation.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,14 +62,33 @@ def parse_config_file(path: str) -> dict:
         return parse(fh.read(), SCHEMA, path)
 
 
-def build_run_config(args: argparse.Namespace) -> RunConfig:
+def _set_values(args: argparse.Namespace) -> dict:
+    """Values of the keys set in ``--config`` or by a flag; flags win."""
     values = parse_config_file(args.config) if args.config else {}
     for name, kind in SCHEMA.items():
         override = getattr(args, name)
         if override is not None:
             values[name] = convert(name, kind, override)
+    return values
+
+
+def build_run_config(args: argparse.Namespace) -> RunConfig:
+    values = _set_values(args)
     return build(RunConfig, values, model=build(ModelConfig, values),
                  train=build(TrainConfig, values))
+
+
+def _checkpoint_model(cfg: RunConfig, args):
+    """The model of ``--checkpoint``, and ``cfg`` with its model keys. A model
+    key set in ``--config`` or by a flag must match the checkpoint's."""
+    model = build_model(load_checkpoint(args.checkpoint))
+    values = _set_values(args)
+    for name in keys(ModelConfig):
+        stored = getattr(model.config, name)
+        if name in values and values[name] != stored:
+            raise ConfigError(f"{name} = {values[name]} does not match "
+                              f"{name} = {stored} of {args.checkpoint}")
+    return model, replace(cfg, model=model.config)
 
 
 def _prepare_out(cfg: RunConfig, out_dir: str) -> str:
@@ -98,13 +119,11 @@ def cmd_train(cfg: RunConfig, args) -> int:
     if args.resume:
         ckpt = load_checkpoint(args.resume)
         model = build_model(ckpt, config=cfg.model)
-        state = load_optimizer(ckpt, model.named_parameters(),
-                               weight_decay=train_cfg.weight_decay)
+        state = load_optimizer(ckpt, model.named_parameters())
     else:
         model = init_model(cfg.model, Rng(("model", train_cfg.seed)),
                            dtype=train_cfg.dtype)
-        state = OptimizerState.init(model.named_parameters(),
-                                    weight_decay=train_cfg.weight_decay)
+        state = OptimizerState.init(model.named_parameters())
     log = fit(model, manifest, train_cfg, state=state)
     log.write(os.path.join(out, "train.log"))
     save_checkpoint(os.path.join(out, "model.ckpt"), model, optimizer=state)
@@ -121,8 +140,8 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
+    model, cfg = _checkpoint_model(cfg, args)
     out = _prepare_out(cfg, args.out)
-    model = build_model(load_checkpoint(args.checkpoint))
     manifest = dat.read_manifest(args.manifest)
     report = evaluate(model, manifest, crops_per_image=cfg.eval_crops,
                       seed=cfg.train.seed)
@@ -177,8 +196,8 @@ def cmd_gradcheck(cfg: RunConfig, args) -> int:
 
 
 def cmd_panel_sim(cfg: RunConfig, args) -> int:
+    model, cfg = _checkpoint_model(cfg, args)
     out = _prepare_out(cfg, args.out)
-    model = build_model(load_checkpoint(args.checkpoint))
     manifest = dat.read_manifest(args.manifest)
     diag = panel_cosine(model, manifest)
     diag.write(os.path.join(out, "panel.txt"))
@@ -190,8 +209,8 @@ def cmd_panel_sim(cfg: RunConfig, args) -> int:
 
 
 def cmd_attn_map(cfg: RunConfig, args) -> int:
+    model, cfg = _checkpoint_model(cfg, args)
     out = _prepare_out(cfg, args.out)
-    model = build_model(load_checkpoint(args.checkpoint))
     image = dat.read_image(args.image)
     crop = center_crop(image, model.config.crop_hw).astype(model.dtype)
     amap = attention_map(model, Tensor(crop))

@@ -74,7 +74,7 @@ def init_panel(cfg: ModelConfig, rng: Rng, dtype) -> Tensor:
 def panel_inputs(t_cls: Tensor, panel: Tensor) -> Tensor:
     """Expand the CLS token over panel members: row l = t_cls + panel[l].
 
-    t_cls: (B, 1, D) or (1, D); panel: (L, D). Returns (B, L, D) / (L, D).
+    t_cls: (B, 1, D); panel: (L, D). Returns (B, L, D).
     """
     if t_cls.shape[-1] != panel.shape[-1]:
         raise ValueError(
@@ -82,22 +82,21 @@ def panel_inputs(t_cls: Tensor, panel: Tensor) -> Tensor:
     return t_cls + panel
 
 
-def make_queries(x: Tensor, block: QueryBlockParams, heads: int,
-                 eps: float = 1e-6) -> Tensor:
+def make_queries(x: Tensor, block: QueryBlockParams, heads: int) -> Tensor:
     """Decoder queries: MHSA over the (B, L, D) panel inputs plus residual."""
-    return mhsa(layer_norm(x, block.ln_gain, block.ln_bias, eps),
+    return mhsa(layer_norm(x, block.ln_gain, block.ln_bias),
                 block.attn, heads) + x
 
 
 def cross_attend(queries: Tensor, patch_feats: Tensor, block: CrossBlockParams,
-                 heads: int, eps: float = 1e-6):
+                 heads: int):
     """One decoder layer: MHCA of normed (B, L, D) queries over (B, N, D)
     patch features, residual, then the MLP. Returns (output, per-head
     attention weights (B,h,L,N))."""
     if patch_feats.shape[-2] == 0:
         raise ValueError("cross_attend requires at least one patch feature")
     attended, weights = attention(
-        layer_norm(queries, block.lnq_gain, block.lnq_bias, eps), patch_feats,
+        layer_norm(queries, block.lnq_gain, block.lnq_bias), patch_feats,
         block.attn, heads, return_weights=True)
     mid = attended + queries
     h = gelu(matmul(mid, block.mlp_w1, block.mlp_b1))

@@ -158,7 +158,7 @@ def patchify(image: Tensor, p: int) -> Tensor:
 
 
 def unpatchify(patches: np.ndarray, p: int, channels: int, hw: int) -> np.ndarray:
-    """Inverse of patchify for a single image; used only by tests and plots."""
+    """Inverse of patchify for a single image; a test oracle only."""
     g = hw // p
     x = patches.reshape(g, g, channels, p, p)
     return x.transpose(2, 0, 3, 1, 4).reshape(channels, hw, hw)
@@ -270,13 +270,13 @@ def mhsa(tokens: Tensor, params: AttentionParams, heads: int) -> Tensor:
     return attention(tokens, tokens, params, heads)
 
 
-def encoder_block(tokens: Tensor, block: EncoderBlockParams, heads: int,
-                  eps: float = 1e-6) -> Tensor:
+def encoder_block(tokens: Tensor, block: EncoderBlockParams,
+                  heads: int) -> Tensor:
     """Pre-norm transformer block over (B, M, D) tokens: MHSA then MLP, each
     with a residual."""
-    zm = mhsa(layer_norm(tokens, block.ln1_gain, block.ln1_bias, eps),
+    zm = mhsa(layer_norm(tokens, block.ln1_gain, block.ln1_bias),
               block.attn, heads) + tokens
-    h = gelu(matmul(layer_norm(zm, block.ln2_gain, block.ln2_bias, eps),
+    h = gelu(matmul(layer_norm(zm, block.ln2_gain, block.ln2_bias),
                     block.mlp_w1, block.mlp_b1))
     return matmul(h, block.mlp_w2, block.mlp_b2) + zm
 

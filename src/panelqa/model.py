@@ -91,8 +91,7 @@ def init_model(config: ModelConfig, rng: Rng, dtype=np.float64) -> QualityTransf
     return model
 
 
-def forward_panel(model: QualityTransformer, images: Tensor,
-                  collect_weights: bool = False):
+def forward_panel(model: QualityTransformer, images: Tensor):
     """Batched forward pass up to panel scores.
 
     images: (B, C, H, W). Returns (panel_scores (B, L'), quality_embeddings
@@ -126,8 +125,7 @@ def forward_panel(model: QualityTransformer, images: Tensor,
     out = q
     for block in model.cross_blocks:
         out, w = dec.cross_attend(out, patches, block, cfg.heads)
-        if collect_weights:
-            maps.append(w)
+        maps.append(w)
     scores = dec.score_head(out, model.head)
     return scores, out, maps
 
@@ -154,7 +152,7 @@ def predict(model: QualityTransformer, image: Tensor) -> Prediction:
         raise ShapeError(f"predict takes a (C, H, W) image, got {image.shape}")
     with no_grad():
         panel_scores, embeddings, maps = forward_panel(
-            model, image.reshape((1,) + image.shape), collect_weights=True)
+            model, image.reshape((1,) + image.shape))
     ps = panel_scores.data[0]
     return Prediction(
         score=float(ps.mean()),

@@ -19,11 +19,10 @@ def _scale(values, lo_px, hi_px):
     return lo_px + (v - lo) / (hi - lo) * (hi_px - lo_px)
 
 
-def svg_line(path: str, ys, xs=None, width=640, height=360,
-             title: str = "") -> None:
+def svg_line(path: str, ys, title: str = "") -> None:
+    width, height = 640, 360
     ys = np.asarray(ys, dtype=np.float64)
-    xs = np.arange(len(ys)) if xs is None else np.asarray(xs, dtype=np.float64)
-    px = _scale(xs, 40, width - 10)
+    px = _scale(np.arange(len(ys)), 40, width - 10)
     py = _scale(ys, height - 30, 10)  # y grows downward in SVG
     pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
     body = (f'<polyline points="{pts}" fill="none" stroke="steelblue" '
@@ -34,24 +33,23 @@ def svg_line(path: str, ys, xs=None, width=640, height=360,
         fh.write(_frame(width, height, body))
 
 
-def svg_scatter(path: str, xs, ys, width=480, height=480,
-                title: str = "") -> None:
-    px = _scale(xs, 40, width - 10)
-    py = _scale(ys, height - 30, 10)
+def svg_scatter(path: str, xs, ys, title: str = "") -> None:
+    size = 480
+    px = _scale(xs, 40, size - 10)
+    py = _scale(ys, size - 30, 10)
     body = "".join(
         f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="steelblue" '
         f'fill-opacity="0.6"/>\n' for x, y in zip(px, py))
     if title:
-        body += f'<text x="10" y="{height - 8}" font-size="12">{title}</text>\n'
+        body += f'<text x="10" y="{size - 8}" font-size="12">{title}</text>\n'
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_frame(width, height, body))
+        fh.write(_frame(size, size, body))
 
 
-def svg_heatmap(path: str, matrix, cell: int = 0, title: str = "") -> None:
+def svg_heatmap(path: str, matrix, title: str = "") -> None:
     m = np.asarray(matrix, dtype=np.float64)
     h, w = m.shape
-    if cell == 0:
-        cell = max(2, min(24, 480 // max(h, w)))
+    cell = max(2, min(24, 480 // max(h, w)))
     lo, hi = float(m.min()), float(m.max())
     span = hi - lo if hi > lo else 1.0
     body = ""

@@ -79,18 +79,23 @@ def run_split_train_eval(manifest: Manifest, model_cfg: ModelConfig,
                          train_cfg: TrainConfig, run_seed: int,
                          train_frac: float = 0.8,
                          eval_crops: int = 1,
-                         train_manifest: Optional[Manifest] = None,
-                         test_manifest: Optional[Manifest] = None
+                         train_groups: Optional[float] = None
                          ) -> tuple[float, float]:
-    """One independent run: fresh split, fresh initialization, train, test."""
-    if train_manifest is None or test_manifest is None:
-        train_manifest, test_manifest = split(manifest, train_frac, run_seed)
+    """One independent run: fresh split, fresh initialization, train, test.
+
+    With ``train_groups``, training keeps only the first groups of the train
+    side, that fraction of all groups (at most ``train_frac``)."""
+    train, test = split(manifest, train_frac, run_seed)
+    if train_groups is not None:
+        keep = int(round(train_groups * len(manifest.groups())))
+        kept = set(train.groups()[:keep])
+        train = Manifest([s for s in train.samples if s.group_id in kept],
+                         train.provenance)
     model = init_model(model_cfg, Rng(("model", run_seed)),
                        dtype=train_cfg.dtype)
     cfg = dataclasses.replace(train_cfg, seed=run_seed)
-    fit(model, train_manifest, cfg)
-    report = evaluate(model, test_manifest, crops_per_image=eval_crops,
-                      seed=run_seed)
+    fit(model, train, cfg)
+    report = evaluate(model, test, crops_per_image=eval_crops, seed=run_seed)
     return report.srcc, report.plcc
 
 
@@ -101,19 +106,31 @@ def _aggregate(label: str, rows: list[RunResult]) -> Aggregate:
                      float(s.std()), float(p.std()), len(rows))
 
 
+def _sweep(mode: str, manifest: Manifest, train_cfg: TrainConfig, settings,
+           repeats: int, eval_crops: int, train_frac: float = 0.8
+           ) -> ProtocolReport:
+    """``repeats`` runs of each (label, seed offset, model config, train-group
+    fraction) setting; run r of a setting draws the seed of ``offset + r``."""
+    report = ProtocolReport(mode)
+    for label, offset, model_cfg, train_groups in settings:
+        rows = []
+        for run in range(repeats):
+            seed = derive_seed(train_cfg.seed, offset + run)
+            s, p = run_split_train_eval(manifest, model_cfg, train_cfg, seed,
+                                        train_frac, eval_crops, train_groups)
+            rows.append(RunResult(label, run, seed, s, p))
+        report.results += rows
+        report.aggregates.append(_aggregate(label, rows))
+    return report
+
+
 def protocol_repeats(manifest: Manifest, model_cfg: ModelConfig,
                      train_cfg: TrainConfig, repeats: int = 10,
                      train_frac: float = 0.8, eval_crops: int = 1
                      ) -> ProtocolReport:
     """k independent splits/initializations; medians and std reported."""
-    report = ProtocolReport("repeats")
-    for run in range(repeats):
-        seed = derive_seed(train_cfg.seed, run)
-        s, p = run_split_train_eval(manifest, model_cfg, train_cfg, seed,
-                                    train_frac, eval_crops)
-        report.results.append(RunResult("", run, seed, s, p))
-    report.aggregates.append(_aggregate("", report.results))
-    return report
+    return _sweep("repeats", manifest, train_cfg, [("", 0, model_cfg, None)],
+                  repeats, eval_crops, train_frac)
 
 
 def protocol_data_efficiency(manifest: Manifest, model_cfg: ModelConfig,
@@ -121,60 +138,29 @@ def protocol_data_efficiency(manifest: Manifest, model_cfg: ModelConfig,
                              fractions=DATA_EFFICIENCY_FRACTIONS,
                              eval_crops: int = 1) -> ProtocolReport:
     """Sweep the training fraction with a fixed 20% held-out test side."""
-    report = ProtocolReport("data-efficiency")
-    groups_total = len(manifest.groups())
-    for frac in fractions:
-        rows = []
-        for run in range(repeats):
-            seed = derive_seed(train_cfg.seed, 1000 * int(frac * 100) + run)
-            train80, test20 = split(manifest, 0.8, seed)
-            # keep frac of all groups for training (frac <= 0.8)
-            keep = int(round(frac * groups_total))
-            kept_groups = set(train80.groups()[:keep])
-            train_sub = Manifest(
-                [s for s in train80.samples if s.group_id in kept_groups],
-                train80.provenance)
-            s, p = run_split_train_eval(
-                manifest, model_cfg, train_cfg, seed,
-                eval_crops=eval_crops,
-                train_manifest=train_sub, test_manifest=test20)
-            rows.append(RunResult(f"frac={frac:.2f}", run, seed, s, p))
-        report.results += rows
-        report.aggregates.append(_aggregate(f"frac={frac:.2f}", rows))
-    return report
+    settings = [(f"frac={f:.2f}", 1000 * int(f * 100), model_cfg, f)
+                for f in fractions]
+    return _sweep("data-efficiency", manifest, train_cfg, settings, repeats,
+                  eval_crops)
 
 
 def protocol_depth_ablation(manifest: Manifest, model_cfg: ModelConfig,
                             train_cfg: TrainConfig, repeats: int = 3,
                             depths=DEPTH_ABLATION_DEPTHS,
                             eval_crops: int = 1) -> ProtocolReport:
-    report = ProtocolReport("depth-ablation")
-    for depth in depths:
-        cfg_d = dataclasses.replace(model_cfg, decoder_depth=depth)
-        rows = []
-        for run in range(repeats):
-            seed = derive_seed(train_cfg.seed, 2000 * depth + run)
-            s, p = run_split_train_eval(manifest, cfg_d, train_cfg, seed,
-                                        eval_crops=eval_crops)
-            rows.append(RunResult(f"depth={depth}", run, seed, s, p))
-        report.results += rows
-        report.aggregates.append(_aggregate(f"depth={depth}", rows))
-    return report
+    settings = [(f"depth={d}", 2000 * d,
+                 dataclasses.replace(model_cfg, decoder_depth=d), None)
+                for d in depths]
+    return _sweep("depth-ablation", manifest, train_cfg, settings, repeats,
+                  eval_crops)
 
 
 def protocol_component_ablation(manifest: Manifest, model_cfg: ModelConfig,
                                 train_cfg: TrainConfig, repeats: int = 3,
                                 variants=COMPONENT_VARIANTS,
                                 eval_crops: int = 1) -> ProtocolReport:
-    report = ProtocolReport("component-ablation")
-    for vi, variant in enumerate(variants):
-        cfg_v = dataclasses.replace(model_cfg, variant=variant)
-        rows = []
-        for run in range(repeats):
-            seed = derive_seed(train_cfg.seed, 3000 * (vi + 1) + run)
-            s, p = run_split_train_eval(manifest, cfg_v, train_cfg, seed,
-                                        eval_crops=eval_crops)
-            rows.append(RunResult(f"variant={variant}", run, seed, s, p))
-        report.results += rows
-        report.aggregates.append(_aggregate(f"variant={variant}", rows))
-    return report
+    settings = [(f"variant={v}", 3000 * (i + 1),
+                 dataclasses.replace(model_cfg, variant=v), None)
+                for i, v in enumerate(variants)]
+    return _sweep("component-ablation", manifest, train_cfg, settings,
+                  repeats, eval_crops)

@@ -59,10 +59,10 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_op")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None,
+    def __init__(self, data, requires_grad: bool = False,
                  _parents: tuple = (), _vjp: Optional[Callable] = None,
                  _op: str = "leaf"):
-        arr = np.asarray(data, dtype=dtype)
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
@@ -92,9 +92,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op}, grad={self.requires_grad})"
@@ -183,9 +180,6 @@ class Tensor:
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -399,10 +393,6 @@ class Rng:
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(_seed_ints(seed))))
 
-    @property
-    def seed(self):
-        return self._seed
-
     def child(self, *key: int) -> "Rng":
         """Independent stream derived from (seed, key); disjoint across keys."""
         base = self._seed if isinstance(self._seed, (list, tuple)) else (self._seed,)
@@ -428,9 +418,6 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def choice(self, seq, size=None, replace=True):
-        return self._gen.choice(seq, size=size, replace=replace)
 
 
 # -- finite-difference oracle -------------------------------------------------

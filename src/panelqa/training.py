@@ -18,8 +18,7 @@ from .tensor import NonFiniteError, Rng, Tensor
 
 @dataclass
 class TrainConfig:
-    """Training recipe; ``precision`` must match the model's dtype. Fields
-    with ``"cli": False`` metadata are not configuration keys."""
+    """Training recipe; ``precision`` must match the model's dtype."""
     epochs: int = 9
     base_lr: float = 2e-4
     lr_decay_factor: float = 10.0
@@ -31,10 +30,6 @@ class TrainConfig:
     normalize_scores: bool = False
     seed: int = 0
     precision: int = 64
-    beta1: float = field(default=0.9, metadata={"cli": False})
-    beta2: float = field(default=0.999, metadata={"cli": False})
-    adam_eps: float = field(default=1e-8, metadata={"cli": False})
-    log_cls_grads: bool = field(default=True, metadata={"cli": False})
 
     def __post_init__(self):
         for name in ("epochs", "base_lr", "lr_decay_factor",
@@ -94,19 +89,18 @@ class OptimizerState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    weight_decay: float = 1e-4
 
     @classmethod
-    def init(cls, params: dict[str, Tensor], weight_decay: float = 1e-4):
+    def init(cls, params: dict[str, Tensor]):
         return cls(m={k: np.zeros_like(p.data) for k, p in params.items()},
-                   v={k: np.zeros_like(p.data) for k, p in params.items()},
-                   step=0, weight_decay=weight_decay)
+                   v={k: np.zeros_like(p.data) for k, p in params.items()})
 
 
 def optimizer_step(params: dict[str, Tensor], state: OptimizerState,
-                   lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                   eps: float = 1e-8) -> None:
-    """Adaptive-moment update with decoupled weight decay; clears gradients."""
+                   lr: float, weight_decay: float) -> None:
+    """AdamW update (Loshchilov & Hutter, arXiv:1711.05101) with the
+    recipe's fixed moments and epsilon; clears gradients."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.step += 1
     t = state.step
     for name, p in params.items():
@@ -119,8 +113,7 @@ def optimizer_step(params: dict[str, Tensor], state: OptimizerState,
         state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
         mhat = state.m[name] / (1 - beta1 ** t)
         vhat = state.v[name] / (1 - beta2 ** t)
-        p.data -= lr * (mhat / (np.sqrt(vhat) + eps)
-                        + state.weight_decay * p.data)
+        p.data -= lr * (mhat / (np.sqrt(vhat) + eps) + weight_decay * p.data)
         p.zero_grad()
 
 
@@ -172,8 +165,9 @@ def fit(model: QualityTransformer, manifest: Manifest, cfg: TrainConfig,
         state: Optional[OptimizerState] = None) -> TrainLog:
     """Train the model in place; returns the per-step log.
 
-    Passing an existing OptimizerState resumes from its step counter. The
-    model's dtype must match ``cfg.precision``."""
+    Passing an existing OptimizerState resumes from its step counter and
+    moments; the weight decay is always ``cfg.weight_decay``. The model's
+    dtype must match ``cfg.precision``."""
     if len(manifest) == 0:
         raise ValueError("training manifest is empty")
     if np.dtype(cfg.dtype) != model.dtype:
@@ -181,7 +175,7 @@ def fit(model: QualityTransformer, manifest: Manifest, cfg: TrainConfig,
                          f"{model.dtype} model")
     params = model.named_parameters()
     if state is None:
-        state = OptimizerState.init(params, weight_decay=cfg.weight_decay)
+        state = OptimizerState.init(params)
     labels = _label_array(manifest, cfg)
     hw = model.config.crop_hw
     dtype = model.dtype
@@ -212,12 +206,9 @@ def fit(model: QualityTransformer, manifest: Manifest, cfg: TrainConfig,
             grad_norm = float(np.sqrt(sum(
                 float((p.grad ** 2).sum()) for p in params.values()
                 if p.grad is not None)))
-            cls_grad = None
-            if cfg.log_cls_grads:
-                g = model.embedding.cls_token.grad
-                cls_grad = None if g is None else g.reshape(-1).copy()
-            optimizer_step(params, state, lr, beta1=cfg.beta1,
-                           beta2=cfg.beta2, eps=cfg.adam_eps)
+            g = model.embedding.cls_token.grad
+            cls_grad = None if g is None else g.reshape(-1).copy()
+            optimizer_step(params, state, lr, cfg.weight_decay)
             step += 1
             log.records.append(StepRecord(step, epoch, lr, loss_val,
                                           grad_norm, cls_grad))

@@ -139,6 +139,17 @@ class TestErrors:
         assert str(bad) in str(info.value)
         assert names in str(info.value)
 
+    def test_mixed_dtypes_name_file_and_tensor(self, tmp_path):
+        model = toy_model(seed=6)
+        first = model.embedding.patch_proj_w
+        first.data = first.data.astype(np.float32)
+        path = str(tmp_path / "mixed.ckpt")
+        save_checkpoint(path, model)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert path in str(info.value)
+        assert "tensor embedding.patch_proj_b is float64" in str(info.value)
+
     def test_config_mismatch_on_build(self, tmp_path):
         model = toy_model(seed=7)
         path = str(tmp_path / "m.ckpt")

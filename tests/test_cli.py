@@ -292,3 +292,48 @@ class TestDiagnosticsCommands:
         assert main(["attn-map", "--config", toy_cfg_file, "--checkpoint",
                      ckpt, "--image", img, "--out", am]) == 0
         assert os.path.exists(os.path.join(am, "attn.svg"))
+
+
+class TestCheckpointCommands:
+    """eval, panel-sim and attn-map take the model keys of the checkpoint."""
+
+    @pytest.fixture
+    def ckpt(self, tmp_path, toy_cfg_file, toy_dataset):
+        run = str(tmp_path / "run")
+        assert main(["train", "--config", toy_cfg_file, "--manifest",
+                     toy_dataset, "--out", run]) == 0
+        return os.path.join(run, "model.ckpt")
+
+    def test_config_txt_echoes_the_checkpoint_model_keys(self, tmp_path,
+                                                         ckpt, toy_dataset):
+        out = tmp_path / "ev"
+        assert main(["eval", "--checkpoint", ckpt, "--manifest", toy_dataset,
+                     "--eval-crops", "1", "--out", str(out)]) == 0
+        text = (out / "config.txt").read_text()
+        assert "token_dim = 16\n" in text
+        assert "crop_hw = 12\n" in text
+        assert "eval_crops = 1\n" in text
+
+    @pytest.mark.parametrize("command", ["eval", "panel-sim", "attn-map"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_differing_model_key_rejected(self, capsys, tmp_path,
+                                          toy_cfg_file, toy_dataset, ckpt,
+                                          command, source):
+        if source == "flag":
+            setting = ["--config", toy_cfg_file, "--token-dim", "32"]
+        else:
+            cfg = tmp_path / "wide.cfg"
+            cfg.write_text(TOY_CFG.replace("token_dim = 16", "token_dim = 32"))
+            setting = ["--config", str(cfg)]
+        if command == "attn-map":
+            data = ["--image", os.path.join(os.path.dirname(toy_dataset),
+                                            "img00000.ppm")]
+        else:
+            data = ["--manifest", toy_dataset]
+        out = tmp_path / "o"
+        assert main([command, "--checkpoint", ckpt, *data, *setting,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"token_dim = 32 does not match token_dim = 16 of {ckpt}" in err
+        assert not out.exists()

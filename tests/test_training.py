@@ -3,6 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from conftest import toy_config, toy_model
+from panelqa.checkpoint import (build_model, load_checkpoint, load_optimizer,
+                                save_checkpoint)
 from panelqa.data import Manifest, Sample, gen_base_images
 from panelqa.model import init_model
 from panelqa.tensor import NonFiniteError, Rng, Tensor
@@ -107,30 +109,30 @@ class TestSampleCrops:
 class TestOptimizer:
     def test_zero_grad_zero_decay_no_change(self):
         p = Tensor([1.0, -2.0], requires_grad=True)
-        state = OptimizerState.init({"p": p}, weight_decay=0.0)
+        state = OptimizerState.init({"p": p})
         before = p.data.copy()
-        optimizer_step({"p": p}, state, lr=0.1)
+        optimizer_step({"p": p}, state, lr=0.1, weight_decay=0.0)
         npt.assert_array_equal(p.data, before)
         assert state.step == 1
 
     def test_constant_gradient_descends(self):
         p = Tensor([1.0], requires_grad=True)
-        state = OptimizerState.init({"p": p}, weight_decay=0.0)
+        state = OptimizerState.init({"p": p})
         values = [p.data[0]]
         for _ in range(2):
             p.grad = np.array([1.0])
-            optimizer_step({"p": p}, state, lr=0.05)
+            optimizer_step({"p": p}, state, lr=0.05, weight_decay=0.0)
             values.append(p.data[0])
         assert values[2] < values[1] < values[0]
 
     def test_quadratic_bowl_converges(self):
         p = Tensor([5.0], requires_grad=True)
-        state = OptimizerState.init({"p": p}, weight_decay=0.0)
+        state = OptimizerState.init({"p": p})
         start = (p.data[0]) ** 2
         for _ in range(200):
             loss = (p * p).sum()
             loss.backward()
-            optimizer_step({"p": p}, state, lr=0.1)
+            optimizer_step({"p": p}, state, lr=0.1, weight_decay=0.0)
         assert p.data[0] ** 2 < 1e-3 * start
 
     def test_nonfinite_gradient_names_parameter(self):
@@ -138,7 +140,7 @@ class TestOptimizer:
         state = OptimizerState.init({"p": p})
         p.grad = np.array([np.nan])
         with pytest.raises(NonFiniteError, match="p"):
-            optimizer_step({"p": p}, state, lr=0.1)
+            optimizer_step({"p": p}, state, lr=0.1, weight_decay=1e-4)
 
 
 def tiny_manifest(n=4, hw=12, seed=0):
@@ -189,6 +191,23 @@ class TestFit:
             assert p.data.dtype == dtype
             npt.assert_array_equal(p.data, before[k])
             assert p.grad is None
+
+    def test_weight_decay_comes_from_the_config_on_resume(self, tmp_path):
+        model = toy_model(seed=6)
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, model,
+                        optimizer=OptimizerState.init(model.named_parameters()))
+        ends = []
+        for decay in (0.0, 0.5):
+            ckpt = load_checkpoint(path)
+            resumed = build_model(ckpt)
+            state = load_optimizer(ckpt, resumed.named_parameters())
+            cfg = TrainConfig(epochs=1, batch_size=4, crops_per_image=1,
+                              weight_decay=decay)
+            fit(resumed, tiny_manifest(), cfg, max_steps=2, state=state)
+            ends.append(resumed.named_parameters())
+        assert any(not np.array_equal(p.data, ends[1][k].data)
+                   for k, p in ends[0].items())
 
     def test_log_serialization(self, tmp_path):
         cfg = TrainConfig(epochs=1, batch_size=8, crops_per_image=1, seed=4)
