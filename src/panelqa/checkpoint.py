@@ -13,6 +13,7 @@ The config is the model's ``key = value`` text, written and read by
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -37,7 +38,6 @@ class CheckpointError(IOError):
 
 @dataclass
 class Checkpoint:
-    version: int
     config: ModelConfig
     tensors: dict[str, np.ndarray]
     step: int = 0
@@ -68,26 +68,51 @@ def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return buf
+class _Reader:
+    """Reads a checkpoint's bytes front to back; every error names the file."""
 
+    def __init__(self, path: str, raw: bytes):
+        self.path, self.raw, self.pos = path, memoryview(raw), 0
 
-def _read_tensor(fh) -> tuple[str, np.ndarray]:
-    (nlen,) = struct.unpack("<I", _read_exact(fh, 4, "tensor name length"))
-    name = _read_exact(fh, nlen, "tensor name").decode()
-    (code,) = struct.unpack("<B", _read_exact(fh, 1, "dtype code"))
-    if code not in _CODE_DTYPES:
-        raise CheckpointError(f"unknown dtype code {code} for tensor {name}")
-    (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
-    dims = [struct.unpack("<Q", _read_exact(fh, 8, "dim"))[0]
-            for _ in range(rank)]
-    dtype = _CODE_DTYPES[code]
-    count = int(np.prod(dims)) if dims else 1
-    raw = _read_exact(fh, count * dtype.itemsize, f"data of {name}")
-    return name, np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
+    def error(self, message: str) -> CheckpointError:
+        return CheckpointError(f"{self.path}: {message}")
+
+    def take(self, n: int, what: str) -> memoryview:
+        if n > len(self.raw) - self.pos:
+            raise self.error(f"truncated checkpoint while reading {what}: "
+                             f"{n} bytes claimed, {len(self.raw) - self.pos} "
+                             f"left at byte {self.pos}")
+        self.pos += n
+        return self.raw[self.pos - n:self.pos]
+
+    def uint(self, fmt: str, what: str) -> int:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]
+
+    def tensor(self, index: int) -> tuple[str, np.ndarray]:
+        """One tensor record; its errors also name the tensor and the byte
+        offset where the record starts."""
+        start = self.pos
+        where = f"tensor record {index} at byte {start}"
+        name = self.take(self.uint("<I", f"name length of {where}"),
+                         f"name of {where}")
+        try:
+            name = bytes(name).decode()
+        except UnicodeDecodeError:
+            raise self.error(f"{where}: name is not UTF-8") from None
+        where = f"tensor {name} at byte {start}"
+        code = self.uint("<B", f"dtype code of {where}")
+        if code not in _CODE_DTYPES:
+            raise self.error(f"{where}: unknown dtype code {code}")
+        rank = self.uint("<I", f"rank of {where}")
+        dims = struct.unpack(f"<{rank}Q", self.take(8 * rank, f"dims of {where}"))
+        dtype = _CODE_DTYPES[code]
+        # a product of Python integers cannot overflow, so no claim passes
+        # the length check by wrapping around
+        data = self.take(math.prod(dims) * dtype.itemsize, f"data of {where}")
+        try:
+            return name, np.frombuffer(data, dtype=dtype).reshape(dims).copy()
+        except ValueError as exc:   # a zero dim beside one numpy cannot hold
+            raise self.error(f"{where}: bad dims {dims}: {exc}") from None
 
 
 def save_checkpoint(path: str, model: QualityTransformer,
@@ -113,96 +138,87 @@ def save_checkpoint(path: str, model: QualityTransformer,
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Every size in the file is checked against the bytes that remain before
+    it is read; a malformed file raises ``CheckpointError`` naming it."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise CheckpointError(
-                f"{path}: bad magic {magic!r}, not a checkpoint")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported checkpoint version {version}")
-        (clen,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-        config = _read_config(path, _read_exact(fh, clen, "config"))
-        (step,) = struct.unpack("<Q", _read_exact(fh, 8, "step"))
-        (has_opt,) = struct.unpack("<B", _read_exact(fh, 1, "optimizer flag"))
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
-        tensors, opt_m, opt_v = {}, {}, {}
-        for i in range(count):
-            name, arr = _read_tensor(fh)
-            if i == 0:
-                first = (name, arr.dtype)
-            elif arr.dtype != first[1]:
-                raise CheckpointError(
-                    f"{path}: tensor {name} is {arr.dtype}, but the first "
-                    f"tensor {first[0]} is {first[1]}; a checkpoint holds "
-                    f"one dtype")
-            if name.startswith("opt.m."):
-                opt_m[name[6:]] = arr
-            elif name.startswith("opt.v."):
-                opt_v[name[6:]] = arr
-            else:
-                tensors[name] = arr
-    return Checkpoint(version=version, config=config, tensors=tensors,
-                      step=step,
+        r = _Reader(path, fh.read())
+    magic = bytes(r.raw[:4])
+    if magic != MAGIC:
+        raise r.error(f"bad magic {magic!r}, not a checkpoint")
+    r.pos = 4
+    version = r.uint("<I", "version")
+    if version != VERSION:
+        raise r.error(f"unsupported checkpoint version {version}")
+    config = _read_config(path, bytes(r.take(r.uint("<I", "config length"),
+                                             "config")))
+    step = r.uint("<Q", "step")
+    has_opt = r.uint("<B", "optimizer flag")
+    tensors, opt_m, opt_v = {}, {}, {}
+    for i in range(r.uint("<I", "tensor count")):
+        name, arr = r.tensor(i)
+        if i == 0:
+            first = (name, arr.dtype)
+        elif arr.dtype != first[1]:
+            raise r.error(f"tensor {name} is {arr.dtype}, but the first "
+                          f"tensor {first[0]} is {first[1]}; a checkpoint "
+                          f"holds one dtype")
+        if name.startswith("opt.m."):
+            opt_m[name[6:]] = arr
+        elif name.startswith("opt.v."):
+            opt_v[name[6:]] = arr
+        else:
+            tensors[name] = arr
+    return Checkpoint(config=config, tensors=tensors, step=step,
                       opt_m=opt_m if has_opt else None,
                       opt_v=opt_v if has_opt else None)
 
 
-def build_model(ckpt: Checkpoint, config: Optional[ModelConfig] = None
-                ) -> QualityTransformer:
-    """Reconstruct the model from a checkpoint. A config, when given, must
-    match the stored one; shape mismatches name the offending tensor."""
-    if config is not None and config != ckpt.config:
+def _check_records(stored: dict[str, np.ndarray], params: dict[str, Tensor],
+                   prefix: str = "") -> None:
+    """``stored`` holds one array of each parameter's shape and nothing else;
+    errors name the records."""
+    missing = sorted(params.keys() - stored.keys())
+    extra = sorted(stored.keys() - params.keys())
+    if missing or extra:
         raise CheckpointError(
-            f"config mismatch: checkpoint has {ckpt.config}, requested {config}")
+            f"tensor name mismatch: missing={[prefix + k for k in missing]} "
+            f"extra={[prefix + k for k in extra]}")
+    for name, p in params.items():
+        if stored[name].shape != p.shape:
+            raise CheckpointError(
+                f"shape mismatch for tensor {prefix}{name}: checkpoint "
+                f"{stored[name].shape} vs model {p.shape}")
+
+
+def build_model(ckpt: Checkpoint) -> QualityTransformer:
+    """Reconstruct the model from a checkpoint, in the dtype of its tensors."""
     dtype = next(iter(ckpt.tensors.values())).dtype if ckpt.tensors else np.float64
     model = init_model(ckpt.config, Rng(0), dtype=dtype)
     params = model.named_parameters()
-    missing = set(params) - set(ckpt.tensors)
-    extra = set(ckpt.tensors) - set(params)
-    if missing or extra:
-        raise CheckpointError(
-            f"parameter name mismatch: missing={sorted(missing)} "
-            f"extra={sorted(extra)}")
+    _check_records(ckpt.tensors, params)
     for name, p in params.items():
-        arr = ckpt.tensors[name]
-        if arr.shape != p.data.shape:
-            raise CheckpointError(
-                f"shape mismatch for tensor {name}: checkpoint "
-                f"{arr.shape} vs model {p.data.shape}")
-        p.data = arr.astype(dtype)
+        p.data = ckpt.tensors[name].astype(dtype)
     return model
 
 
 def load_optimizer(ckpt: Checkpoint, params: dict[str, Tensor]) -> OptimizerState:
+    """The AdamW state of ``params``: both moments of every parameter."""
     if ckpt.opt_m is None:
         raise CheckpointError("checkpoint carries no optimizer state")
-    state = OptimizerState.init(params)
-    state.step = ckpt.step
-    for name in params:
-        if name not in ckpt.opt_m:
-            raise CheckpointError(f"optimizer state missing for {name}")
-        state.m[name] = ckpt.opt_m[name].copy()
-        state.v[name] = ckpt.opt_v[name].copy()
-    return state
+    for prefix, stored in (("opt.m.", ckpt.opt_m), ("opt.v.", ckpt.opt_v)):
+        _check_records(stored, params, prefix)
+    return OptimizerState(m={k: ckpt.opt_m[k].copy() for k in params},
+                          v={k: ckpt.opt_v[k].copy() for k in params},
+                          step=ckpt.step)
 
 
 def load_encoder_weights(model: QualityTransformer, ckpt: Checkpoint) -> int:
     """Copy matching encoder-schema tensors (embedding.* / enc_blocks.*) from
     an external checkpoint into the model; returns how many were loaded."""
     params = model.named_parameters()
-    loaded = 0
-    for name, arr in ckpt.tensors.items():
-        if not name.startswith(("embedding.", "enc_blocks.")):
-            continue
-        if name not in params:
-            continue
-        target = params[name]
-        if arr.shape != target.data.shape:
-            raise CheckpointError(
-                f"shape mismatch for tensor {name}: checkpoint "
-                f"{arr.shape} vs model {target.data.shape}")
-        target.data = arr.astype(target.data.dtype)
-        loaded += 1
-    return loaded
+    found = {k: arr for k, arr in ckpt.tensors.items()
+             if k.startswith(("embedding.", "enc_blocks.")) and k in params}
+    _check_records(found, {k: params[k] for k in found})
+    for name, arr in found.items():
+        params[name].data = arr.astype(params[name].data.dtype)
+    return len(found)

@@ -4,9 +4,9 @@ gradient checking, and diagnostics.
 Configuration is plain ``key = value`` text with ``#`` comments, read by
 ``panelqa.config``; command-line flags override file values, and the effective
 configuration is echoed into every output directory. Commands that read a
-checkpoint take its model keys, and reject a differing one set in the file or
-by a flag. Unknown keys and invalid values are rejected before any
-computation.
+checkpoint take its model keys and precision, and reject a differing one set in
+the file or by a flag. Unknown keys, invalid values and unreadable inputs are
+rejected before any computation and before the output directory is made.
 """
 from __future__ import annotations
 
@@ -23,12 +23,19 @@ from .checkpoint import build_model, load_checkpoint, load_optimizer, save_check
 from .config import ConfigError, build, convert, keys, parse, write
 from .encoder import ModelConfig
 from .metrics import attention_map, center_crop, evaluate, panel_cosine
-from .model import init_model
+from .model import forward_scores, init_model
 from .plots import svg_heatmap, svg_line, svg_scatter
 from .tensor import Rng, Tensor, grad_check
 from .training import OptimizerState, TrainConfig, fit, smooth_l1
 
-DEFAULT_KINDS = ",".join(dat.DISTORTION_KINDS)
+# protocol mode -> function, and the RunConfig keys it takes besides
+# repeats and eval_crops
+PROTOCOLS = {
+    "repeats": (proto.protocol_repeats, ("train_frac",)),
+    "data-efficiency": (proto.protocol_data_efficiency, ()),
+    "depth-ablation": (proto.protocol_depth_ablation, ()),
+    "component-ablation": (proto.protocol_component_ablation, ()),
+}
 
 
 @dataclass
@@ -41,7 +48,7 @@ class RunConfig:
                                metadata={"cli": False})
     # synthetic data generation
     bases: int = 100
-    kinds: str = DEFAULT_KINDS
+    kinds: str = ",".join(dat.DISTORTION_KINDS)
     levels: int = 5
     image_hw: int = 64
     # evaluation / protocols
@@ -49,6 +56,10 @@ class RunConfig:
     mode: str = "repeats"
     repeats: int = 10
     train_frac: float = 0.8
+
+    def __post_init__(self):
+        if self.mode not in PROTOCOLS:
+            raise ValueError(f"unknown protocol mode {self.mode!r}")
 
     def text(self) -> str:
         return write(self.model) + write(self.train) + write(self)
@@ -78,17 +89,21 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
                  train=build(TrainConfig, values))
 
 
-def _checkpoint_model(cfg: RunConfig, args):
-    """The model of ``--checkpoint``, and ``cfg`` with its model keys. A model
-    key set in ``--config`` or by a flag must match the checkpoint's."""
-    model = build_model(load_checkpoint(args.checkpoint))
+def _checkpoint_model(cfg: RunConfig, args, path: str):
+    """The checkpoint at ``path``, its model, and ``cfg`` with the model's keys
+    and precision. A model key or ``precision`` set in ``--config`` or by a
+    flag must match the checkpoint's."""
+    ckpt = load_checkpoint(path)
+    model = build_model(ckpt)
+    stored = {k: getattr(model.config, k) for k in keys(ModelConfig)}
+    stored["precision"] = 8 * model.dtype.itemsize
     values = _set_values(args)
-    for name in keys(ModelConfig):
-        stored = getattr(model.config, name)
-        if name in values and values[name] != stored:
+    for name, value in stored.items():
+        if name in values and values[name] != value:
             raise ConfigError(f"{name} = {values[name]} does not match "
-                              f"{name} = {stored} of {args.checkpoint}")
-    return model, replace(cfg, model=model.config)
+                              f"{name} = {value} of {path}")
+    train = replace(cfg.train, precision=stored["precision"])
+    return ckpt, model, replace(cfg, model=model.config, train=train)
 
 
 def _prepare_out(cfg: RunConfig, out_dir: str) -> str:
@@ -101,11 +116,11 @@ def _prepare_out(cfg: RunConfig, out_dir: str) -> str:
 # -- commands -----------------------------------------------------------------
 
 def cmd_gen_data(cfg: RunConfig, args) -> int:
-    out = _prepare_out(cfg, args.out)
     kinds = [k.strip() for k in cfg.kinds.split(",") if k.strip()]
     manifest = dat.gen_synthetic_dataset(cfg.bases, cfg.levels, kinds,
                                          Rng(("gen", cfg.train.seed)),
                                          hw=cfg.image_hw)
+    out = _prepare_out(cfg, args.out)
     file_manifest = dat.materialize(manifest, out)
     dat.write_manifest(os.path.join(out, "manifest.csv"), file_manifest)
     print(f"wrote {len(file_manifest)} samples to {out}")
@@ -113,36 +128,33 @@ def cmd_gen_data(cfg: RunConfig, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    out = _prepare_out(cfg, args.out)
     manifest = dat.read_manifest(args.manifest)
-    train_cfg = cfg.train
+    test_manifest = (dat.read_manifest(args.test_manifest)
+                     if args.test_manifest else None)
     if args.resume:
-        ckpt = load_checkpoint(args.resume)
-        model = build_model(ckpt, config=cfg.model)
+        ckpt, model, cfg = _checkpoint_model(cfg, args, args.resume)
         state = load_optimizer(ckpt, model.named_parameters())
     else:
-        model = init_model(cfg.model, Rng(("model", train_cfg.seed)),
-                           dtype=train_cfg.dtype)
+        model = init_model(cfg.model, Rng(("model", cfg.train.seed)),
+                           dtype=cfg.train.dtype)
         state = OptimizerState.init(model.named_parameters())
-    log = fit(model, manifest, train_cfg, state=state)
+    out = _prepare_out(cfg, args.out)
+    log = fit(model, manifest, cfg.train, state=state)
     log.write(os.path.join(out, "train.log"))
     save_checkpoint(os.path.join(out, "model.ckpt"), model, optimizer=state)
     svg_line(os.path.join(out, "loss.svg"), log.losses(), title="loss per step")
-    train_report = evaluate(model, manifest, crops_per_image=cfg.eval_crops,
-                            seed=train_cfg.seed)
-    print(f"train srcc={train_report.srcc:.6f} plcc={train_report.plcc:.6f}")
-    if args.test_manifest:
-        test_report = evaluate(model, dat.read_manifest(args.test_manifest),
-                               crops_per_image=cfg.eval_crops,
-                               seed=train_cfg.seed)
-        print(f"test srcc={test_report.srcc:.6f} plcc={test_report.plcc:.6f}")
+    for name, data in (("train", manifest), ("test", test_manifest)):
+        if data is not None:
+            report = evaluate(model, data, crops_per_image=cfg.eval_crops,
+                              seed=cfg.train.seed)
+            print(f"{name} srcc={report.srcc:.6f} plcc={report.plcc:.6f}")
     return 0
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
-    model, cfg = _checkpoint_model(cfg, args)
-    out = _prepare_out(cfg, args.out)
     manifest = dat.read_manifest(args.manifest)
+    _, model, cfg = _checkpoint_model(cfg, args, args.checkpoint)
+    out = _prepare_out(cfg, args.out)
     report = evaluate(model, manifest, crops_per_image=cfg.eval_crops,
                       seed=cfg.train.seed)
     report.write(os.path.join(out, "eval.txt"))
@@ -153,24 +165,11 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 
 
 def cmd_protocol(cfg: RunConfig, args) -> int:
-    out = _prepare_out(cfg, args.out)
     manifest = dat.read_manifest(args.manifest)
-    model_cfg, train_cfg = cfg.model, cfg.train
-    kwargs = dict(repeats=cfg.repeats, eval_crops=cfg.eval_crops)
-    if cfg.mode == "repeats":
-        report = proto.protocol_repeats(manifest, model_cfg, train_cfg,
-                                        train_frac=cfg.train_frac, **kwargs)
-    elif cfg.mode == "data-efficiency":
-        report = proto.protocol_data_efficiency(manifest, model_cfg,
-                                                train_cfg, **kwargs)
-    elif cfg.mode == "depth-ablation":
-        report = proto.protocol_depth_ablation(manifest, model_cfg,
-                                               train_cfg, **kwargs)
-    elif cfg.mode == "component-ablation":
-        report = proto.protocol_component_ablation(manifest, model_cfg,
-                                                   train_cfg, **kwargs)
-    else:
-        raise ConfigError(f"unknown protocol mode {cfg.mode!r}")
+    out = _prepare_out(cfg, args.out)
+    run, extra = PROTOCOLS[cfg.mode]
+    report = run(manifest, cfg.model, cfg.train,
+                 **{k: getattr(cfg, k) for k in ("repeats", "eval_crops", *extra)})
     report.write(os.path.join(out, "protocol.txt"))
     for line in report.lines():
         print(line)
@@ -178,7 +177,6 @@ def cmd_protocol(cfg: RunConfig, args) -> int:
 
 
 def cmd_gradcheck(cfg: RunConfig, args) -> int:
-    from .model import forward_scores
     mc, seed = cfg.model, cfg.train.seed
     model = init_model(mc, Rng(("model", seed)), dtype=np.float64)
     rng = Rng(("gradcheck", seed))
@@ -196,9 +194,9 @@ def cmd_gradcheck(cfg: RunConfig, args) -> int:
 
 
 def cmd_panel_sim(cfg: RunConfig, args) -> int:
-    model, cfg = _checkpoint_model(cfg, args)
-    out = _prepare_out(cfg, args.out)
     manifest = dat.read_manifest(args.manifest)
+    _, model, cfg = _checkpoint_model(cfg, args, args.checkpoint)
+    out = _prepare_out(cfg, args.out)
     diag = panel_cosine(model, manifest)
     diag.write(os.path.join(out, "panel.txt"))
     svg_heatmap(os.path.join(out, "panel.svg"), diag.cosine,
@@ -209,9 +207,9 @@ def cmd_panel_sim(cfg: RunConfig, args) -> int:
 
 
 def cmd_attn_map(cfg: RunConfig, args) -> int:
-    model, cfg = _checkpoint_model(cfg, args)
-    out = _prepare_out(cfg, args.out)
     image = dat.read_image(args.image)
+    _, model, cfg = _checkpoint_model(cfg, args, args.checkpoint)
+    out = _prepare_out(cfg, args.out)
     crop = center_crop(image, model.config.crop_hw).astype(model.dtype)
     amap = attention_map(model, Tensor(crop))
     svg_heatmap(os.path.join(out, "attn.svg"), amap, title="quality attention")
@@ -222,11 +220,27 @@ def cmd_attn_map(cfg: RunConfig, args) -> int:
 
 # -- argument parsing ---------------------------------------------------------
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value configuration file")
-    p.add_argument("--out", default="out", help="output directory")
-    for name in SCHEMA:
-        p.add_argument("--" + name.replace("_", "-"), default=None, dest=name)
+_REQUIRED = {"required": True}
+
+# subcommand -> help text and its command-only flags; `main` runs the
+# module's cmd_<subcommand>, dashes read as underscores
+COMMANDS = {
+    "gen-data": ("generate a synthetic labeled corpus", {}),
+    "train": ("fine-tune a model on a manifest",
+              {"--manifest": _REQUIRED, "--test-manifest": {},
+               "--resume": {"help": "checkpoint to continue from"}}),
+    "eval": ("evaluate a checkpoint on a manifest",
+             {"--checkpoint": _REQUIRED, "--manifest": _REQUIRED}),
+    "protocol": ("repeat/ablation experiment protocols",
+                 {"--manifest": _REQUIRED}),
+    "gradcheck": ("finite-difference check of all gradients",
+                  {"--eps": {"type": float, "default": 1e-4},
+                   "--tolerance": {"type": float, "default": 1e-4}}),
+    "panel-sim": ("panel cosine-similarity diagnostics",
+                  {"--checkpoint": _REQUIRED, "--manifest": _REQUIRED}),
+    "attn-map": ("decoder attention heat map for one image",
+                 {"--checkpoint": _REQUIRED, "--image": _REQUIRED}),
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -235,48 +249,15 @@ def make_parser() -> argparse.ArgumentParser:
         description="Blind image quality assessment with an attention-panel "
                     "transformer")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate a synthetic labeled corpus")
-    _add_shared(p)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train", help="fine-tune a model on a manifest")
-    _add_shared(p)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--test-manifest", default=None)
-    p.add_argument("--resume", default=None,
-                   help="checkpoint to continue from")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
-    _add_shared(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--manifest", required=True)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("protocol", help="repeat/ablation experiment protocols")
-    _add_shared(p)
-    p.add_argument("--manifest", required=True)
-    p.set_defaults(func=cmd_protocol)
-
-    p = sub.add_parser("gradcheck",
-                       help="finite-difference check of all gradients")
-    _add_shared(p)
-    p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--tolerance", type=float, default=1e-4)
-    p.set_defaults(func=cmd_gradcheck)
-
-    p = sub.add_parser("panel-sim", help="panel cosine-similarity diagnostics")
-    _add_shared(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--manifest", required=True)
-    p.set_defaults(func=cmd_panel_sim)
-
-    p = sub.add_parser("attn-map", help="decoder attention heat map for one image")
-    _add_shared(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--image", required=True)
-    p.set_defaults(func=cmd_attn_map)
+    for command, (help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="key = value configuration file")
+        p.add_argument("--out", default="out", help="output directory")
+        for name in SCHEMA:
+            p.add_argument("--" + name.replace("_", "-"), default=None,
+                           dest=name)
+        for flag, options in flags.items():
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -284,7 +265,9 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         cfg = build_run_config(args)
-        return args.func(cfg, args)
+        # looked up at call time, so a wrapper installed on the module runs
+        handler = globals()["cmd_" + args.command.replace("-", "_")]
+        return handler(cfg, args)
     except Exception as exc:  # single-line machine-parsable failure
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,7 @@ Synthetic scores are a monotone proxy MOS: 1 - level / (levels - 1).
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -182,36 +183,41 @@ def write_ppm(path: str, image: np.ndarray) -> None:
         fh.write(pixels.transpose(1, 2, 0).tobytes())
 
 
+# One header field: whitespace and whole "#" comment lines, the field, and
+# the whitespace byte that ends it.
+_PNM_FIELD = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]\S*)\s")
+
+
 def read_image(path: str) -> np.ndarray:
-    """Read P6 (color) or P5 (grayscale, expanded to 3 channels)."""
+    """Read P6 (color) or P5 (grayscale, expanded to 3 channels). A truncated
+    or malformed file raises ValueError naming the path and the field."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if raw[pos:pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    pos += 1  # single whitespace after maxval
-    magic = fields[0]
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    sizes, pos = [], 0
+    for what in ("magic", "width", "height", "maxval"):
+        m = _PNM_FIELD.match(raw, pos)
+        if m is None:
+            raise ValueError(f"{path}: truncated or malformed {what}")
+        value, pos = m.group(1), m.end()
+        if what == "magic":
+            if value not in (b"P5", b"P6"):
+                raise ValueError(f"{path}: unsupported format {value!r}")
+            channels = 3 if value == b"P6" else 1
+        elif not value.isdigit() or int(value) == 0:
+            raise ValueError(f"{path}: bad {what} {value!r}")
+        else:
+            sizes.append(int(value))
+    w, h, maxval = sizes
     if maxval != 255:
-        raise ValueError(f"{path}: only 8-bit images supported")
-    if magic == b"P6":
-        data = np.frombuffer(raw, dtype=np.uint8, count=w * h * 3, offset=pos)
-        img = data.reshape(h, w, 3).transpose(2, 0, 1)
-    elif magic == b"P5":
-        data = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=pos)
-        img = np.repeat(data.reshape(1, h, w), 3, axis=0)
-    else:
-        raise ValueError(f"{path}: unsupported format {magic!r}")
+        raise ValueError(f"{path}: maxval {maxval}: only 8-bit images supported")
+    count = w * h * channels
+    if len(raw) - pos < count:
+        raise ValueError(f"{path}: truncated pixel data: {len(raw) - pos} of "
+                         f"{count} bytes")
+    data = np.frombuffer(raw, dtype=np.uint8, count=count, offset=pos)
+    img = data.reshape(h, w, channels).transpose(2, 0, 1)
+    if channels == 1:
+        img = np.repeat(img, 3, axis=0)
     return img.astype(np.float64) / 255.0
 
 

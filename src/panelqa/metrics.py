@@ -19,25 +19,25 @@ class MetricError(ValueError):
 
 def _ranks(values: np.ndarray) -> np.ndarray:
     """Average (fractional) ranks, ties shared."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sv = values[order]
-    i = 0
-    while i < len(sv):
-        j = i
-        while j + 1 < len(sv) and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True,
+                                 return_counts=True)
+    last = np.cumsum(counts)    # 1-based rank of each tie group's last member
+    return (last - 0.5 * (counts - 1))[group]
+
+
+def _pair(what: str, pred: Sequence[float], label: Sequence[float]):
+    p = np.asarray(pred, dtype=np.float64)
+    l = np.asarray(label, dtype=np.float64)
+    if p.shape != l.shape or p.ndim != 1 or len(p) < 2:
+        raise MetricError(f"{what} needs two 1-d vectors of length >= 2")
+    if not (np.isfinite(p).all() and np.isfinite(l).all()):
+        raise MetricError(f"{what} undefined: non-finite input")
+    return p, l
 
 
 def plcc(pred: Sequence[float], label: Sequence[float]) -> float:
     """Pearson linear correlation."""
-    p = np.asarray(pred, dtype=np.float64)
-    l = np.asarray(label, dtype=np.float64)
-    if p.shape != l.shape or p.ndim != 1 or len(p) < 2:
-        raise MetricError("plcc needs two 1-d vectors of length >= 2")
+    p, l = _pair("plcc", pred, label)
     pc = p - p.mean()
     lc = l - l.mean()
     denom = np.sqrt((pc ** 2).sum() * (lc ** 2).sum())
@@ -48,10 +48,7 @@ def plcc(pred: Sequence[float], label: Sequence[float]) -> float:
 
 def srcc(pred: Sequence[float], label: Sequence[float]) -> float:
     """Spearman rank correlation: Pearson of fractional ranks."""
-    p = np.asarray(pred, dtype=np.float64)
-    l = np.asarray(label, dtype=np.float64)
-    if p.shape != l.shape or p.ndim != 1 or len(p) < 2:
-        raise MetricError("srcc needs two 1-d vectors of length >= 2")
+    p, l = _pair("srcc", pred, label)
     try:
         return plcc(_ranks(p), _ranks(l))
     except MetricError:

@@ -32,3 +32,18 @@ def test_every_target_resolves_and_is_restored():
         tracer.uninstall()
     for (owner, attr), original in zip(sites, originals):
         assert vars(owner)[attr] is original, f"{attr} not restored"
+
+
+def test_traced_cli_command_records_its_span(tmp_path, capsys):
+    """`cli.main` must look its handler up on the module at call time, or the
+    benchmark's `cli.gen_data.s` reads 0 while the wrapper is installed."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracing.cli.main(["gen-data", "--out", str(tmp_path / "d"),
+                                 "--bases", "1", "--levels", "2",
+                                 "--image-hw", "8"]) == 0
+    finally:
+        tracer.uninstall()
+    assert "cli.gen_data" in [span[0] for span in tracer.spans]

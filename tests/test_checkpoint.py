@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import toy_config, toy_model
+from conftest import toy_model
 from panelqa.checkpoint import (CheckpointError, build_model,
                                 load_checkpoint, load_encoder_weights,
                                 load_optimizer, save_checkpoint)
@@ -150,15 +150,6 @@ class TestErrors:
         assert path in str(info.value)
         assert "tensor embedding.patch_proj_b is float64" in str(info.value)
 
-    def test_config_mismatch_on_build(self, tmp_path):
-        model = toy_model(seed=7)
-        path = str(tmp_path / "m.ckpt")
-        save_checkpoint(path, model)
-        ckpt = load_checkpoint(path)
-        other = toy_config(token_dim=32, heads=2)
-        with pytest.raises(CheckpointError, match="config mismatch"):
-            build_model(ckpt, config=other)
-
     def test_shape_mismatch_names_tensor(self, tmp_path):
         model = toy_model(seed=8)
         path = str(tmp_path / "m.ckpt")
@@ -176,6 +167,114 @@ class TestErrors:
         del ckpt.tensors["panel"]
         with pytest.raises(CheckpointError, match="panel"):
             build_model(ckpt)
+
+
+def record_offsets(blob):
+    """Byte offsets of the tensor records of a version-1 checkpoint, and of
+    its end."""
+    (clen,) = struct.unpack_from("<I", blob, 8)
+    pos = 12 + clen + 8 + 1
+    (count,) = struct.unpack_from("<I", blob, pos)
+    offsets = [pos + 4]
+    for _ in range(count):
+        pos = offsets[-1]
+        (nlen,) = struct.unpack_from("<I", blob, pos)
+        pos += 4 + nlen
+        itemsize = {1: 4, 2: 8}[blob[pos]]
+        (rank,) = struct.unpack_from("<I", blob, pos + 1)
+        dims = struct.unpack_from(f"<{rank}Q", blob, pos + 5)
+        offsets.append(pos + 5 + 8 * rank + itemsize * int(np.prod(dims)))
+    assert offsets[-1] == len(blob)
+    return offsets
+
+
+def one_record(blob, name, dims, data=b"\0" * 100):
+    """The header of ``blob`` with one float64 record of the given dims."""
+    header = blob[:record_offsets(blob)[0] - 4]
+    nb = name.encode()
+    return (header + struct.pack("<I", 1) + struct.pack("<I", len(nb)) + nb
+            + struct.pack("<BI", 2, len(dims))
+            + struct.pack(f"<{len(dims)}Q", *dims) + data)
+
+
+class TestUntrustedBytes:
+    """A malformed file fails with a CheckpointError that names it, never
+    with MemoryError or a bare numpy or struct message."""
+
+    @pytest.fixture
+    def blob(self, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        model = toy_model(seed=14)
+        save_checkpoint(path, model,
+                        optimizer=OptimizerState.init(model.named_parameters()))
+        return open(path, "rb").read()
+
+    def test_every_truncation_names_the_file(self, tmp_path, blob):
+        offsets = record_offsets(blob)
+        cuts = set(range(offsets[0] + 1))
+        cuts.update(c + d for c in offsets for d in (-1, 0, 1))
+        cuts.discard(len(blob))
+        path = tmp_path / "cut.ckpt"
+        for cut in sorted(c for c in cuts if 0 <= c < len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError) as info:
+                load_checkpoint(str(path))
+            assert str(path) in str(info.value), cut
+
+    def test_truncated_data_names_tensor_and_offset(self, tmp_path, blob):
+        offsets = record_offsets(blob)
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(blob[:offsets[2] - 1])
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(str(path))
+        assert (f"{path}: truncated checkpoint while reading data of tensor "
+                f"embedding.patch_proj_b at byte {offsets[1]}"
+                in str(info.value))
+
+    @pytest.mark.parametrize("dims", [(2 ** 34,), (2 ** 40, 2 ** 40),
+                                      (2 ** 64 - 1, 2 ** 64 - 1)])
+    def test_oversized_claim_rejected_before_reading(self, tmp_path, blob,
+                                                     dims):
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(one_record(blob, "panel", dims))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(str(path))
+        message = str(info.value)
+        assert f"{path}: truncated checkpoint while reading data of tensor "\
+               f"panel at byte {record_offsets(blob)[0]}" in message
+        assert "100 left" in message
+
+    def test_zero_dim_beside_a_huge_one_rejected(self, tmp_path, blob):
+        path = tmp_path / "zero.ckpt"
+        path.write_bytes(one_record(blob, "panel", (0, 2 ** 63), data=b""))
+        with pytest.raises(CheckpointError, match="tensor panel at byte"):
+            load_checkpoint(str(path))
+
+
+class TestOptimizerRecords:
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        model = toy_model(seed=15)
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, model,
+                        optimizer=OptimizerState.init(model.named_parameters()))
+        return load_checkpoint(path)
+
+    def test_missing_second_moment_names_record(self, ckpt):
+        del ckpt.opt_v["panel"]
+        with pytest.raises(CheckpointError, match=r"missing=\['opt\.v\.panel'\]"):
+            load_optimizer(ckpt, build_model(ckpt).named_parameters())
+
+    def test_unknown_record_rejected(self, ckpt):
+        ckpt.opt_m["ghost"] = np.zeros(3)
+        with pytest.raises(CheckpointError,
+                           match=r"extra=\['opt\.m\.ghost'\]"):
+            load_optimizer(ckpt, build_model(ckpt).named_parameters())
+
+    def test_moment_shape_must_match(self, ckpt):
+        ckpt.opt_v["panel"] = np.zeros((1, 2))
+        with pytest.raises(CheckpointError, match="tensor opt.v.panel: checkpoint"):
+            load_optimizer(ckpt, build_model(ckpt).named_parameters())
 
 
 class TestEncoderTransfer:

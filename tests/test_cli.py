@@ -337,3 +337,80 @@ class TestCheckpointCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"token_dim = 32 does not match token_dim = 16 of {ckpt}" in err
         assert not out.exists()
+
+
+class TestInputsCheckedFirst:
+    """Every command reads its inputs and checks them against the checkpoint
+    before it makes its output directory; resume takes the model keys and
+    the precision of the checkpoint."""
+
+    @pytest.fixture
+    def ckpt32(self, tmp_path, toy_cfg_file, toy_dataset):
+        run = tmp_path / "run32"
+        assert main(["train", "--config", toy_cfg_file, "--precision", "32",
+                     "--manifest", toy_dataset, "--out", str(run)]) == 0
+        return str(run / "model.ckpt")
+
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(["protocol", "--manifest", "{data}", "--mode", "bogus"],
+                     "unknown protocol mode 'bogus'", id="protocol-mode"),
+        pytest.param(["train", "--manifest", "{missing}"], "nope",
+                     id="train-manifest"),
+        pytest.param(["protocol", "--manifest", "{missing}"], "nope",
+                     id="protocol-manifest"),
+        pytest.param(["eval", "--checkpoint", "{ckpt}",
+                      "--manifest", "{missing}"], "nope", id="eval-manifest"),
+        pytest.param(["panel-sim", "--checkpoint", "{ckpt}",
+                      "--manifest", "{missing}"], "nope",
+                     id="panel-sim-manifest"),
+        pytest.param(["attn-map", "--checkpoint", "{ckpt}",
+                      "--image", "{missing}"], "nope", id="attn-map-image"),
+        pytest.param(["train", "--manifest", "{data}", "--resume", "{missing}"],
+                     "nope", id="resume-checkpoint"),
+        pytest.param(["eval", "--checkpoint", "{missing}",
+                      "--manifest", "{data}"], "nope", id="eval-checkpoint"),
+        pytest.param(["train", "--manifest", "{data}", "--resume", "{ckpt}",
+                      "--token-dim", "32"],
+                     "token_dim = 32 does not match token_dim = 16",
+                     id="resume-model-key"),
+        pytest.param(["train", "--manifest", "{data}", "--resume", "{ckpt}",
+                      "--precision", "64"],
+                     "precision = 64 does not match precision = 32",
+                     id="resume-precision"),
+        pytest.param(["eval", "--checkpoint", "{ckpt}", "--manifest", "{data}",
+                      "--precision", "64"],
+                     "precision = 64 does not match precision = 32",
+                     id="eval-precision"),
+    ])
+    def test_failure_leaves_no_output_directory(self, capsys, tmp_path,
+                                                toy_cfg_file, toy_dataset,
+                                                ckpt32, argv, message):
+        names = {"{data}": toy_dataset, "{ckpt}": ckpt32,
+                 "{missing}": str(tmp_path / "nope")}
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main([names.get(a, a) for a in argv]
+                    + ["--config", toy_cfg_file, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
+    def test_resume_float32_without_config_or_precision(self, tmp_path,
+                                                        toy_dataset, ckpt32):
+        from panelqa.checkpoint import load_checkpoint
+        out = tmp_path / "resumed"
+        assert main(["train", "--manifest", toy_dataset, "--resume", ckpt32,
+                     "--epochs", "1", "--batch-size", "8",
+                     "--crops-per-image", "1", "--eval-crops", "1",
+                     "--out", str(out)]) == 0
+        assert (load_checkpoint(str(out / "model.ckpt")).step
+                > load_checkpoint(ckpt32).step)
+        ev = tmp_path / "ev"
+        assert main(["eval", "--checkpoint", ckpt32, "--manifest",
+                     toy_dataset, "--eval-crops", "1", "--out", str(ev)]) == 0
+        for text in ((out / "config.txt").read_text(),
+                     (ev / "config.txt").read_text()):
+            for line in ("token_dim = 16\n", "crop_hw = 12\n",
+                         "precision = 32\n"):
+                assert line in text

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -161,6 +163,40 @@ class TestFileIO:
         assert img.shape == (3, 4, 4)
         npt.assert_array_equal(img[0], img[1])
         npt.assert_allclose(img[0], pixels / 255.0)
+
+    @pytest.mark.parametrize("magic,channels", [(b"P6", 3), (b"P5", 1)])
+    def test_every_truncation_names_path_and_field(self, tmp_path, magic,
+                                                   channels):
+        header = magic + b"\n# comment\n4 3\n255\n"
+        blob = header + bytes(range(4 * 3 * channels))
+        # byte index of the whitespace that ends each header field
+        ends = {"magic": 2, "width": 14, "height": 16, "maxval": 20}
+        assert len(header) == 21
+        path = tmp_path / "cut.ppm"
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            field = next((f for f, end in ends.items() if cut <= end),
+                         "pixel data")
+            with pytest.raises(ValueError) as info:
+                data.read_image(str(path))
+            message = str(info.value)
+            assert message.startswith(f"{path}: ") and field in message, cut
+        path.write_bytes(blob)
+        assert data.read_image(str(path)).shape == (3, 3, 4)
+
+    @pytest.mark.parametrize("header,message", [
+        (b"P3\n4 3\n255\n", "unsupported format b'P3'"),
+        (b"P6\nx 3\n255\n", "bad width b'x'"),
+        (b"P6\n4 -3\n255\n", "bad height b'-3'"),
+        (b"P6\n4 0\n255\n", "bad height b'0'"),
+        (b"P6\n4 3\n65535\n", "maxval 65535: only 8-bit"),
+        (b"P6\n99999999999 99999999999\n255\n", "truncated pixel data"),
+    ])
+    def test_malformed_header_names_field(self, tmp_path, header, message):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(header + bytes(36))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            data.read_image(str(path))
 
     def test_manifest_round_trip(self, tmp_path):
         imgs = gen_base_images(3, 8, Rng(15))

@@ -24,7 +24,39 @@ def spearman_no_ties(pred, label):
     return 1 - 6 * d2 / (n * (n * n - 1))
 
 
+def loop_ranks(values):
+    """Reference average ranks: walk the sorted values tie group by group."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    sv = values[order]
+    i = 0
+    while i < len(sv):
+        j = i
+        while j + 1 < len(sv) and sv[j + 1] == sv[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 class TestSrcc:
+    def test_ranks_bit_identical_to_loop(self):
+        rng = np.random.default_rng(0)
+        for n in range(2, 200):
+            values = rng.normal(size=n)
+            tied = rng.integers(0, max(n // 4, 1), size=n).astype(np.float64)
+            for v in (values, tied):
+                npt.assert_array_equal(metrics_mod._ranks(v), loop_ranks(v))
+
+    @pytest.mark.parametrize("metric", [srcc, plcc])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, metric, bad):
+        good = [0.1, 0.2, 0.3, 0.4]
+        worse = [0.1, bad, 0.3, 0.2]
+        for pred, label in ((worse, good), (good, worse)):
+            with pytest.raises(MetricError, match="non-finite"):
+                metric(pred, label)
+
     def test_identical_ranking(self):
         assert srcc([1, 2, 3, 4], [1, 2, 3, 4]) == 1.0
 
