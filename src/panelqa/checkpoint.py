@@ -116,21 +116,20 @@ class _Reader:
 
 
 def save_checkpoint(path: str, model: QualityTransformer,
-                    optimizer: Optional[OptimizerState] = None,
-                    step: int = 0) -> None:
+                    optimizer: Optional[OptimizerState] = None) -> None:
+    """The header's step is the optimizer's, or 0 without one."""
     params = model.named_parameters()
     records: list[tuple[str, np.ndarray]] = [(k, p.data) for k, p in params.items()]
     if optimizer is not None:
         records += [(f"opt.m.{k}", v) for k, v in optimizer.m.items()]
         records += [(f"opt.v.{k}", v) for k, v in optimizer.v.items()]
-        step = optimizer.step
     cfg_bytes = write(model.config).encode()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(cfg_bytes)))
         fh.write(cfg_bytes)
-        fh.write(struct.pack("<Q", step))
+        fh.write(struct.pack("<Q", 0 if optimizer is None else optimizer.step))
         fh.write(struct.pack("<B", 1 if optimizer is not None else 0))
         fh.write(struct.pack("<I", len(records)))
         for name, arr in records:

@@ -39,7 +39,6 @@ class Sample:
 @dataclass
 class Manifest:
     samples: list[Sample]
-    provenance: str = ""
 
     def __len__(self):
         return len(self.samples)
@@ -145,8 +144,7 @@ def gen_synthetic_dataset(n_base: int, levels: int, kinds: Sequence[str],
                     score=1.0 - level / (levels - 1),
                     group_id=f"base{bi:04d}",
                     kind=kind, level=level))
-    return Manifest(samples, provenance=f"synthetic n_base={n_base} "
-                                        f"levels={levels} kinds={list(kinds)}")
+    return Manifest(samples)
 
 
 def split(manifest: Manifest, train_frac: float, seed) -> tuple[Manifest, Manifest]:
@@ -162,8 +160,7 @@ def split(manifest: Manifest, train_frac: float, seed) -> tuple[Manifest, Manife
     train_groups = {groups[i] for i in perm[:n_train]}
     train = [s for s in manifest.samples if s.group_id in train_groups]
     test = [s for s in manifest.samples if s.group_id not in train_groups]
-    return (Manifest(train, manifest.provenance + " [train]"),
-            Manifest(test, manifest.provenance + " [test]"))
+    return Manifest(train), Manifest(test)
 
 
 def load_image(sample: Sample) -> np.ndarray:
@@ -253,7 +250,7 @@ def read_manifest(path: str) -> Manifest:
             if not os.path.isabs(ref):
                 ref = os.path.join(base, ref)
             samples.append(Sample(ref, float(score), group))
-    return Manifest(samples, provenance=path)
+    return Manifest(samples)
 
 
 def materialize(manifest: Manifest, out_dir: str) -> Manifest:
@@ -265,4 +262,4 @@ def materialize(manifest: Manifest, out_dir: str) -> Manifest:
         name = f"img{i:05d}.ppm"
         write_ppm(os.path.join(out_dir, name), load_image(s))
         out.append(Sample(name, s.score, s.group_id, s.kind, s.level))
-    return Manifest(out, manifest.provenance)
+    return Manifest(out)

@@ -54,21 +54,20 @@ def init_cross_block(cfg: ModelConfig, rng: Rng, dtype) -> CrossBlockParams:
     return CrossBlockParams(
         lnq_gain=_ones((D,), dtype), lnq_bias=_zeros((D,), dtype),
         attn=init_attention(cfg, rng, dtype),
-        mlp_w1=_param(rng, (D, Dm), 0.02, dtype), mlp_b1=_zeros((Dm,), dtype),
-        mlp_w2=_param(rng, (Dm, D), 0.02, dtype), mlp_b2=_zeros((D,), dtype))
+        mlp_w1=_param(rng, (D, Dm), dtype), mlp_b1=_zeros((Dm,), dtype),
+        mlp_w2=_param(rng, (Dm, D), dtype), mlp_b2=_zeros((D,), dtype))
 
 
 def init_head(cfg: ModelConfig, rng: Rng, dtype) -> HeadParams:
     D = cfg.token_dim
     Dh = max(1, D // 2)
-    return HeadParams(w1=_param(rng, (D, Dh), 0.02, dtype), b1=_zeros((Dh,), dtype),
-                      w2=_param(rng, (Dh, 1), 0.02, dtype), b2=_zeros((1,), dtype))
+    return HeadParams(w1=_param(rng, (D, Dh), dtype), b1=_zeros((Dh,), dtype),
+                      w2=_param(rng, (Dh, 1), dtype), b2=_zeros((1,), dtype))
 
 
 def init_panel(cfg: ModelConfig, rng: Rng, dtype) -> Tensor:
     """Panel embeddings J, one row per member, small random init."""
-    return Tensor(rng.trunc_normal((cfg.panel_size, cfg.token_dim), std=0.02,
-                                   dtype=dtype), requires_grad=True)
+    return _param(rng, (cfg.panel_size, cfg.token_dim), dtype)
 
 
 def panel_inputs(t_cls: Tensor, panel: Tensor) -> Tensor:

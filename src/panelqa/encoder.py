@@ -49,10 +49,6 @@ class ModelConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
 
     @property
-    def head_dim(self) -> int:
-        return self.token_dim // self.heads
-
-    @property
     def grid(self) -> int:
         return self.crop_hw // self.patch_size
 
@@ -99,8 +95,9 @@ class EmbeddingParams:
     pos_embed: Tensor     # (N+1, D)
 
 
-def _param(rng: Rng, shape, std, dtype) -> Tensor:
-    return Tensor(rng.trunc_normal(shape, std=std, dtype=dtype), requires_grad=True)
+def _param(rng: Rng, shape, dtype) -> Tensor:
+    """Weights drawn from a normal with std 0.02, truncated at two std."""
+    return Tensor(rng.trunc_normal(shape, std=0.02, dtype=dtype), requires_grad=True)
 
 
 def _zeros(shape, dtype) -> Tensor:
@@ -114,10 +111,10 @@ def _ones(shape, dtype) -> Tensor:
 def init_attention(cfg: ModelConfig, rng: Rng, dtype) -> AttentionParams:
     D = cfg.token_dim
     return AttentionParams(
-        wq=_param(rng, (D, D), 0.02, dtype), bq=_zeros((D,), dtype),
-        wk=_param(rng, (D, D), 0.02, dtype), bk=_zeros((D,), dtype),
-        wv=_param(rng, (D, D), 0.02, dtype), bv=_zeros((D,), dtype),
-        wo=_param(rng, (D, D), 0.02, dtype), bo=_zeros((D,), dtype))
+        wq=_param(rng, (D, D), dtype), bq=_zeros((D,), dtype),
+        wk=_param(rng, (D, D), dtype), bk=_zeros((D,), dtype),
+        wv=_param(rng, (D, D), dtype), bv=_zeros((D,), dtype),
+        wo=_param(rng, (D, D), dtype), bo=_zeros((D,), dtype))
 
 
 def init_encoder_block(cfg: ModelConfig, rng: Rng, dtype) -> EncoderBlockParams:
@@ -126,18 +123,18 @@ def init_encoder_block(cfg: ModelConfig, rng: Rng, dtype) -> EncoderBlockParams:
         ln1_gain=_ones((D,), dtype), ln1_bias=_zeros((D,), dtype),
         attn=init_attention(cfg, rng, dtype),
         ln2_gain=_ones((D,), dtype), ln2_bias=_zeros((D,), dtype),
-        mlp_w1=_param(rng, (D, Dm), 0.02, dtype), mlp_b1=_zeros((Dm,), dtype),
-        mlp_w2=_param(rng, (Dm, D), 0.02, dtype), mlp_b2=_zeros((D,), dtype))
+        mlp_w1=_param(rng, (D, Dm), dtype), mlp_b1=_zeros((Dm,), dtype),
+        mlp_w2=_param(rng, (Dm, D), dtype), mlp_b2=_zeros((D,), dtype))
 
 
 def init_embedding(cfg: ModelConfig, rng: Rng, dtype) -> EmbeddingParams:
     D = cfg.token_dim
     pd = cfg.patch_size * cfg.patch_size * cfg.channels
     return EmbeddingParams(
-        patch_proj_w=_param(rng, (pd, D), 0.02, dtype),
+        patch_proj_w=_param(rng, (pd, D), dtype),
         patch_proj_b=_zeros((D,), dtype),
-        cls_token=_param(rng, (1, D), 0.02, dtype),
-        pos_embed=_param(rng, (cfg.num_patches + 1, D), 0.02, dtype))
+        cls_token=_param(rng, (1, D), dtype),
+        pos_embed=_param(rng, (cfg.num_patches + 1, D), dtype))
 
 
 def patchify(image: Tensor, p: int) -> Tensor:

@@ -81,9 +81,7 @@ def init_model(config: ModelConfig, rng: Rng, dtype=np.float64) -> QualityTransf
     if v in ("full", "panel_no_decoder"):
         model.panel = dec.init_panel(config, rng, dtype)
     if v == "decoder_random_queries":
-        model.random_queries = Tensor(
-            rng.trunc_normal((config.panel_size, config.token_dim), std=0.02,
-                             dtype=dtype), requires_grad=True)
+        model.random_queries = dec.init_panel(config, rng, dtype)
     if uses_decoder:
         model.query_block = dec.init_query_block(config, rng, dtype)
         model.cross_blocks = [dec.init_cross_block(config, rng, dtype)

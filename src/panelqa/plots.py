@@ -19,34 +19,32 @@ def _scale(values, lo_px, hi_px):
     return lo_px + (v - lo) / (hi - lo) * (hi_px - lo_px)
 
 
-def svg_line(path: str, ys, title: str = "") -> None:
+def svg_line(path: str, ys, title: str) -> None:
     width, height = 640, 360
     ys = np.asarray(ys, dtype=np.float64)
     px = _scale(np.arange(len(ys)), 40, width - 10)
     py = _scale(ys, height - 30, 10)  # y grows downward in SVG
     pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
     body = (f'<polyline points="{pts}" fill="none" stroke="steelblue" '
-            f'stroke-width="1.5"/>\n')
-    if title:
-        body += f'<text x="10" y="{height - 8}" font-size="12">{title}</text>\n'
+            f'stroke-width="1.5"/>\n'
+            f'<text x="10" y="{height - 8}" font-size="12">{title}</text>\n')
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_frame(width, height, body))
 
 
-def svg_scatter(path: str, xs, ys, title: str = "") -> None:
+def svg_scatter(path: str, xs, ys, title: str) -> None:
     size = 480
     px = _scale(xs, 40, size - 10)
     py = _scale(ys, size - 30, 10)
     body = "".join(
         f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="steelblue" '
         f'fill-opacity="0.6"/>\n' for x, y in zip(px, py))
-    if title:
-        body += f'<text x="10" y="{size - 8}" font-size="12">{title}</text>\n'
+    body += f'<text x="10" y="{size - 8}" font-size="12">{title}</text>\n'
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_frame(size, size, body))
 
 
-def svg_heatmap(path: str, matrix, title: str = "") -> None:
+def svg_heatmap(path: str, matrix, title: str) -> None:
     m = np.asarray(matrix, dtype=np.float64)
     h, w = m.shape
     cell = max(2, min(24, 480 // max(h, w)))
@@ -59,8 +57,7 @@ def svg_heatmap(path: str, matrix, title: str = "") -> None:
             r, g, b = int(255 * t), int(64 + 128 * (1 - t)), int(255 * (1 - t))
             body += (f'<rect x="{j * cell}" y="{i * cell}" width="{cell}" '
                      f'height="{cell}" fill="rgb({r},{g},{b})"/>\n')
-    height = h * cell + (18 if title else 0)
-    if title:
-        body += f'<text x="2" y="{height - 4}" font-size="12">{title}</text>\n'
+    height = h * cell + 18
+    body += f'<text x="2" y="{height - 4}" font-size="12">{title}</text>\n'
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_frame(w * cell, height, body))

@@ -89,8 +89,7 @@ def run_split_train_eval(manifest: Manifest, model_cfg: ModelConfig,
     if train_groups is not None:
         keep = int(round(train_groups * len(manifest.groups())))
         kept = set(train.groups()[:keep])
-        train = Manifest([s for s in train.samples if s.group_id in kept],
-                         train.provenance)
+        train = Manifest([s for s in train.samples if s.group_id in kept])
     model = init_model(model_cfg, Rng(("model", run_seed)),
                        dtype=train_cfg.dtype)
     cfg = dataclasses.replace(train_cfg, seed=run_seed)

@@ -175,12 +175,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Tensor._make(-self.data, (self,), lambda g: (-g,), "neg")
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
     def __mul__(self, other):
         other = self._coerce(other)
         out = self.data * other.data
@@ -193,35 +187,25 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        out = self.data / other.data
-        a, b = self, other
-        return Tensor._make(
-            out, (a, b),
-            lambda g: (_unbroadcast(g / b.data, a.shape),
-                       _unbroadcast(-g * a.data / (b.data ** 2), b.shape)),
-            "div")
-
     def __matmul__(self, other):
         return matmul(self, other)
 
     def __getitem__(self, key):
-        out = self.data[key]
+        """Basic indexing by ints and slices only. Such a key never selects
+        an element twice, so the backward is one scatter assignment."""
+        for k in key if isinstance(key, tuple) else (key,):
+            if isinstance(k, bool) or not isinstance(k, (int, np.integer, slice)):
+                raise TypeError(f"Tensor index must be an int or a slice, "
+                                f"got {type(k).__name__} {k!r}")
         src = self
-        basic = all(isinstance(k, (int, np.integer, slice))
-                    and not isinstance(k, bool)
-                    for k in (key if isinstance(key, tuple) else (key,)))
 
         def vjp(g):
             full = np.zeros_like(src.data)
-            if basic:
-                full[key] = g  # basic indexing never repeats an element
-            else:
-                np.add.at(full, key, g)
+            full[key] = g
             return (full,)
 
-        return Tensor._make(np.ascontiguousarray(out), (self,), vjp, "slice")
+        return Tensor._make(np.ascontiguousarray(self.data[key]), (self,), vjp,
+                            "slice")
 
     # -- shape ops -----------------------------------------------------------
 

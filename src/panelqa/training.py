@@ -147,9 +147,6 @@ class TrainLog:
     def losses(self) -> np.ndarray:
         return np.array([r.loss for r in self.records])
 
-    def cls_grads(self) -> list[np.ndarray]:
-        return [r.cls_grad for r in self.records if r.cls_grad is not None]
-
 
 def _label_array(manifest: Manifest, cfg: TrainConfig) -> np.ndarray:
     labels = manifest.scores()

@@ -76,7 +76,6 @@ class TestModelConfig:
         assert (cfg.encoder_depth, cfg.decoder_depth, cfg.panel_size) == (12, 1, 6)
         assert cfg.crop_hw == 224
         assert cfg.num_patches == 196
-        assert cfg.head_dim == 64
 
     def test_heads_must_divide(self):
         with pytest.raises(ValueError):

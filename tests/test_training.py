@@ -167,8 +167,8 @@ class TestFit:
         cfg = TrainConfig(epochs=2, batch_size=4, crops_per_image=2, seed=3)
         log = fit(toy_model(seed=3), tiny_manifest(), cfg)
         assert np.all(np.isfinite(log.losses()))
-        for g in log.cls_grads():
-            assert np.all(np.isfinite(g))
+        for r in log.records:
+            assert r.cls_grad is not None and np.all(np.isfinite(r.cls_grad))
 
     def test_empty_manifest_rejected(self):
         with pytest.raises(ValueError):
