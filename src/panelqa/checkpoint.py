@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .config import keys, parse, write
+from .data import atomic_write
 from .encoder import ModelConfig
 from .model import QualityTransformer, init_model
 from .tensor import Rng, Tensor
@@ -72,7 +73,7 @@ class _Reader:
     """Reads a checkpoint's bytes front to back; every error names the file."""
 
     def __init__(self, path: str, raw: bytes):
-        self.path, self.raw, self.pos = path, memoryview(raw), 0
+        self.path, self.raw, self.pos, self.names = path, memoryview(raw), 0, set()
 
     def error(self, message: str) -> CheckpointError:
         return CheckpointError(f"{self.path}: {message}")
@@ -100,6 +101,9 @@ class _Reader:
         except UnicodeDecodeError:
             raise self.error(f"{where}: name is not UTF-8") from None
         where = f"tensor {name} at byte {start}"
+        if name in self.names:
+            raise self.error(f"{where}: repeats an earlier record's name")
+        self.names.add(name)
         code = self.uint("<B", f"dtype code of {where}")
         if code not in _CODE_DTYPES:
             raise self.error(f"{where}: unknown dtype code {code}")
@@ -124,7 +128,7 @@ def save_checkpoint(path: str, model: QualityTransformer,
         records += [(f"opt.m.{k}", v) for k, v in optimizer.m.items()]
         records += [(f"opt.v.{k}", v) for k, v in optimizer.v.items()]
     cfg_bytes = write(model.config).encode()
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(cfg_bytes)))
@@ -167,6 +171,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             opt_v[name[6:]] = arr
         else:
             tensors[name] = arr
+    if r.pos < len(r.raw):
+        raise r.error(f"{len(r.raw) - r.pos} trailing bytes at byte {r.pos}")
     return Checkpoint(config=config, tensors=tensors, step=step,
                       opt_m=opt_m if has_opt else None,
                       opt_v=opt_v if has_opt else None)

@@ -108,7 +108,7 @@ def _checkpoint_model(cfg: RunConfig, args, path: str):
 
 def _prepare_out(cfg: RunConfig, out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
+    with dat.atomic_write(os.path.join(out_dir, "config.txt")) as fh:
         fh.write(cfg.text())
     return out_dir
 

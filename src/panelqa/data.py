@@ -7,6 +7,7 @@ Synthetic scores are a monotone proxy MOS: 1 - level / (levels - 1).
 """
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 from dataclasses import dataclass
@@ -171,11 +172,26 @@ def load_image(sample: Sample) -> np.ndarray:
 
 # -- PPM / PGM and manifest files ---------------------------------------------
 
+@contextlib.contextmanager
+def atomic_write(path: str, mode: str = "w"):
+    """Write ``<path>.tmp``, moved onto ``path`` if the block ends without
+    error and removed if not. Text is UTF-8; the mode follows the umask."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_ppm(path: str, image: np.ndarray) -> None:
     """Binary P6, 8-bit. Values in [0,1] map to 0..255."""
     c, h, w = image.shape
     pixels = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode())
         fh.write(pixels.transpose(1, 2, 0).tobytes())
 
@@ -220,7 +236,7 @@ def read_image(path: str) -> np.ndarray:
 
 def write_manifest(path: str, manifest: Manifest) -> None:
     """CSV with header path,score,group; image_refs must be file paths."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("path,score,group\n")
         for s in manifest.samples:
             if not isinstance(s.image_ref, str):
@@ -229,6 +245,8 @@ def write_manifest(path: str, manifest: Manifest) -> None:
 
 
 def read_manifest(path: str) -> Manifest:
+    """Relative image paths resolve against the manifest's directory. A bad
+    row raises ValueError starting with ``path:line:`` and naming the field."""
     samples = []
     seen = set()
     base = os.path.dirname(os.path.abspath(path))
@@ -247,9 +265,15 @@ def read_manifest(path: str) -> Manifest:
             if ref in seen:
                 raise ValueError(f"{path}:{line_no}: duplicate image {ref}")
             seen.add(ref)
-            if not os.path.isabs(ref):
-                ref = os.path.join(base, ref)
-            samples.append(Sample(ref, float(score), group))
+            try:
+                value = float(score)
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: score {score!r} is not "
+                                 f"a number") from None
+            try:   # Sample rejects a non-finite score and an empty group
+                samples.append(Sample(os.path.join(base, ref), value, group))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
     return Manifest(samples)
 
 

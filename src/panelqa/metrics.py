@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Manifest, load_image
+from .data import Manifest, atomic_write, load_image
 from .model import QualityTransformer, forward_panel, predict
 from .tensor import Rng, Tensor, no_grad
 from .training import TrainLog, sample_crops
@@ -73,7 +73,7 @@ class EvalReport:
         return out
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write("\n".join(self.lines()) + "\n")
 
 
@@ -121,7 +121,7 @@ class PanelDiagnostics:
         return float(self.cosine[mask].mean())
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write("\n".join(self.lines()) + "\n")
 
 
@@ -165,10 +165,6 @@ class GradHistogram:
     counts: np.ndarray
     edges: np.ndarray
     variance: float
-
-    def line(self) -> str:
-        return (f"step={self.step} var={self.variance:.9e} counts="
-                + ",".join(str(int(c)) for c in self.counts))
 
 
 def cls_grad_stats(log: TrainLog, bins: int = 51) -> list[GradHistogram]:

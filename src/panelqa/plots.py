@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import atomic_write
+
 
 def _frame(width, height, body):
     return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -28,7 +30,7 @@ def svg_line(path: str, ys, title: str) -> None:
     body = (f'<polyline points="{pts}" fill="none" stroke="steelblue" '
             f'stroke-width="1.5"/>\n'
             f'<text x="10" y="{height - 8}" font-size="12">{title}</text>\n')
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(_frame(width, height, body))
 
 
@@ -40,7 +42,7 @@ def svg_scatter(path: str, xs, ys, title: str) -> None:
         f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="steelblue" '
         f'fill-opacity="0.6"/>\n' for x, y in zip(px, py))
     body += f'<text x="10" y="{size - 8}" font-size="12">{title}</text>\n'
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(_frame(size, size, body))
 
 
@@ -59,5 +61,5 @@ def svg_heatmap(path: str, matrix, title: str) -> None:
                      f'height="{cell}" fill="rgb({r},{g},{b})"/>\n')
     height = h * cell + 18
     body += f'<text x="2" y="{height - 4}" font-size="12">{title}</text>\n'
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(_frame(w * cell, height, body))

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Manifest, split
+from .data import Manifest, atomic_write, split
 from .encoder import ModelConfig
 from .metrics import evaluate
 from .model import init_model
@@ -65,7 +65,7 @@ class ProtocolReport:
         return out
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write("\n".join(self.lines()) + "\n")
 
 

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Manifest, load_image
+from .data import Manifest, atomic_write, load_image
 from .model import QualityTransformer, forward_scores
 from .tensor import NonFiniteError, Rng, Tensor
 
@@ -140,7 +140,7 @@ class TrainLog:
     records: list[StepRecord] = field(default_factory=list)
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             for r in self.records:
                 fh.write(r.line() + "\n")
 

@@ -59,6 +59,17 @@ class TestRoundTrip:
         save_checkpoint(p2, model)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), toy_model(seed=3))
+        before = path.read_bytes()
+        model = toy_model(seed=4)
+        model.head.b2.data = model.head.b2.data.astype(np.float16)
+        with pytest.raises(KeyError):   # no dtype code, in the last record
+            save_checkpoint(str(path), model)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
 
 class TestGoldenBytes:
     """The version-1 byte layout: a change to the writer shows up here."""
@@ -188,6 +199,11 @@ def record_offsets(blob):
     return offsets
 
 
+def record_name(blob, offset):
+    (nlen,) = struct.unpack_from("<I", blob, offset)
+    return blob[offset + 4:offset + 4 + nlen].decode()
+
+
 def one_record(blob, name, dims, data=b"\0" * 100):
     """The header of ``blob`` with one float64 record of the given dims."""
     header = blob[:record_offsets(blob)[0] - 4]
@@ -249,6 +265,33 @@ class TestUntrustedBytes:
         path.write_bytes(one_record(blob, "panel", (0, 2 ** 63), data=b""))
         with pytest.raises(CheckpointError, match="tensor panel at byte"):
             load_checkpoint(str(path))
+
+
+    @pytest.mark.parametrize("prefix", ["", "opt.m.", "opt.v."])
+    def test_repeated_name_names_tensor_and_offset(self, tmp_path, blob,
+                                                   prefix):
+        offsets = record_offsets(blob)
+        names = [record_name(blob, o) for o in offsets[:-1]]
+        i = names.index(prefix + "panel")
+        count_at = offsets[0] - 4
+        (count,) = struct.unpack_from("<I", blob, count_at)
+        path = tmp_path / "twice.ckpt"
+        path.write_bytes(blob[:count_at] + struct.pack("<I", count + 1)
+                         + blob[offsets[0]:] + blob[offsets[i]:offsets[i + 1]])
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(str(path))
+        assert (f"{path}: tensor {prefix}panel at byte {len(blob)}: repeats"
+                in str(info.value))
+
+    @pytest.mark.parametrize("tail", [b"\0", b"trailing junk"],
+                             ids=["nul", "junk"])
+    def test_trailing_bytes_name_the_offset(self, tmp_path, blob, tail):
+        path = tmp_path / "tail.ckpt"
+        path.write_bytes(blob + tail)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(str(path))
+        assert (f"{path}: {len(tail)} trailing bytes at byte {len(blob)}"
+                in str(info.value))
 
 
 class TestOptimizerRecords:

@@ -1,8 +1,12 @@
+import math
+import os
 import re
+import tempfile
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from panelqa import data
 from panelqa.data import (DistortionSpec, Manifest, Sample, apply_distortion,
@@ -221,6 +225,86 @@ class TestFileIO:
         p.write_text("file,mos\n")
         with pytest.raises(ValueError):
             data.read_manifest(str(p))
+
+    @pytest.mark.parametrize("row,message", [
+        ("a.ppm,x,g0", "m.csv:3: score 'x' is not a number"),
+        ("a.ppm,nan,g0", "m.csv:3: sample score must be finite"),
+        ("a.ppm,-inf,g0", "m.csv:3: sample score must be finite"),
+        ("a.ppm,,g0", "m.csv:3: score '' is not a number"),
+        ("a.ppm,1.0,", "m.csv:3: sample group_id must be non-empty"),
+    ], ids=["text", "nan", "-inf", "empty-score", "empty-group"])
+    def test_bad_row_names_path_line_and_field(self, tmp_path, row, message):
+        p = tmp_path / "m.csv"
+        p.write_text(f"path,score,group\nb.ppm,0.5,g1\n{row}\n")
+        with pytest.raises(ValueError) as info:
+            data.read_manifest(str(p))
+        assert str(info.value) == f"{tmp_path}/{message}"
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_old_file_and_leaves_no_tmp(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with data.atomic_write(str(path)) as fh:
+                fh.write("new, partly written")
+                fh.flush()
+                raise RuntimeError("failed mid-write")
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["a.txt"]
+
+    def test_manifest_failing_partway_keeps_old_file(self, tmp_path):
+        imgs = gen_base_images(2, 8, Rng(16))
+        mat = data.materialize(
+            Manifest([Sample(img, 0.5, f"g{i}") for i, img in enumerate(imgs)]),
+            str(tmp_path))
+        mpath = str(tmp_path / "manifest.csv")
+        data.write_manifest(mpath, mat)
+        before = open(mpath, "rb").read()
+        mixed = Manifest([mat.samples[0], Sample(imgs[1], 1.0, "g9")])
+        with pytest.raises(ValueError, match="file-backed"):
+            data.write_manifest(mpath, mixed)
+        assert open(mpath, "rb").read() == before
+        assert not any(n.endswith(".tmp") for n in os.listdir(tmp_path))
+
+    def test_success_replaces_with_umask_mode(self, tmp_path):
+        path = tmp_path / "a.bin"
+        path.write_bytes(b"old")
+        with data.atomic_write(str(path), "wb") as fh:
+            fh.write(b"new")
+        plain = tmp_path / "plain.bin"
+        with open(plain, "wb"):
+            pass
+        assert path.read_bytes() == b"new"
+        assert os.stat(path).st_mode == os.stat(plain).st_mode
+        assert sorted(os.listdir(tmp_path)) == ["a.bin", "plain.bin"]
+
+
+# One manifest field: no comma, and no whitespace, which a line may not
+# start or end with.
+_FIELD = st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp"),
+                       blacklist_characters=",")
+
+
+@settings(derandomize=True, database=None)
+@given(ref=st.text(_FIELD, min_size=1),
+       score=st.one_of(st.floats().map(repr), st.text(_FIELD)),
+       group=st.text(_FIELD))
+def test_manifest_row_reads_back_or_names_its_line(ref, score, group):
+    """A row reads back as the same path, score and group, or fails with
+    ``path:line:``."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"path,score,group\n{ref},{score},{group}\n")
+        try:
+            (sample,) = data.read_manifest(path).samples
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:2: ")
+            return
+    assert sample.image_ref == os.path.join(d, ref)
+    assert sample.score == float(score) and math.isfinite(sample.score)
+    assert sample.group_id == group
 
 
 class TestSampleValidation:
