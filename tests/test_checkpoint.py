@@ -266,7 +266,6 @@ class TestUntrustedBytes:
         with pytest.raises(CheckpointError, match="tensor panel at byte"):
             load_checkpoint(str(path))
 
-
     @pytest.mark.parametrize("prefix", ["", "opt.m.", "opt.v."])
     def test_repeated_name_names_tensor_and_offset(self, tmp_path, blob,
                                                    prefix):
