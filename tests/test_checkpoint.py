@@ -84,6 +84,22 @@ class TestGoldenBytes:
         assert self.sha256(path) == (
             "9c2899c6c429acaf3ed085a043851917fd9c3220f328def60fe9a19b2739701a")
 
+    @pytest.mark.parametrize("variant,digest", [
+        ("encoder_only",
+         "6350cdd90032c157770f41ea4dc25a8c0d5b1aa5a220e4f698b53dd63b199a3d"),
+        ("panel_no_decoder",
+         "b0ba62699e0ed42b83e4f3609453d1ba6fe8d849e5a9b21d150d65da4e9f75f4"),
+        ("decoder_random_queries",
+         "c657c922cbad360c55287af3421b86218a8997ecdf088927746eafd4f1aec19a"),
+        ("decoder_cls_queries",
+         "8327c8826d974d4e0b37e7341e4099337a256c4a822b11a1a06b246f9d322b6f"),
+    ])
+    def test_weights_only_other_variants(self, tmp_path, variant, digest):
+        """Each variant's parameters, in record order."""
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, toy_model(seed=4, variant=variant))
+        assert self.sha256(path) == digest
+
     def test_with_optimizer_state(self, tmp_path):
         model = toy_model(seed=4)
         state = OptimizerState.init(model.named_parameters())

@@ -223,6 +223,30 @@ class TestVariants:
         assert not any(k.startswith("cross_blocks") for k in vit)
 
 
+class TestInputDtype:
+    @pytest.mark.parametrize("variant", enc.VARIANTS)
+    def test_float64_image_scored_in_model_dtype(self, variant):
+        """The forward casts images to the model dtype; a caller need not."""
+        model = mdl.init_model(toy_config(variant=variant), Rng(5),
+                               dtype=np.float32)
+        img = rand_image(model.config, Rng(16))
+        cast = Tensor(img.data.astype(np.float32))
+        want = mdl.forward_panel(model, batched(cast))
+        got = mdl.forward_panel(model, batched(img))
+        assert got[0].dtype == np.float32
+        npt.assert_array_equal(got[0].data, want[0].data)
+        for g, w in zip(got[2], want[2]):
+            assert g.dtype == np.float32
+            npt.assert_array_equal(g, w)
+        pred, pred_cast = mdl.predict(model, img), mdl.predict(model, cast)
+        assert pred.panel_scores.dtype == np.float32
+        npt.assert_array_equal(pred.panel_scores, pred_cast.panel_scores)
+        assert pred.score == pred_cast.score
+        for g, w in zip(pred.attn_maps, pred_cast.attn_maps):
+            assert g.dtype == np.float32
+            npt.assert_array_equal(g, w)
+
+
 class TestDeepDecoder:
     def test_depth_two_chains_cross_blocks(self):
         model = toy_model(seed=4, decoder_depth=2)
