@@ -210,8 +210,7 @@ def cmd_attn_map(cfg: RunConfig, args) -> int:
     image = dat.read_image(args.image)
     _, model, cfg = _checkpoint_model(cfg, args, args.checkpoint)
     out = _prepare_out(cfg, args.out)
-    crop = center_crop(image, model.config.crop_hw).astype(model.dtype)
-    amap = attention_map(model, Tensor(crop))
+    amap = attention_map(model, Tensor(center_crop(image, model.config.crop_hw)))
     svg_heatmap(os.path.join(out, "attn.svg"), amap, title="quality attention")
     dat.write_ppm(os.path.join(out, "attn.ppm"), np.repeat(amap[None], 3, axis=0))
     print(f"attention map {amap.shape[0]}x{amap.shape[1]} written to {out}")

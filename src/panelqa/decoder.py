@@ -43,31 +43,31 @@ class HeadParams:
     b2: Tensor
 
 
-def init_query_block(cfg: ModelConfig, rng: Rng, dtype) -> QueryBlockParams:
+def init_query_block(cfg: ModelConfig, rng: Rng) -> QueryBlockParams:
     D = cfg.token_dim
-    return QueryBlockParams(ln_gain=_ones((D,), dtype), ln_bias=_zeros((D,), dtype),
-                            attn=init_attention(cfg, rng, dtype))
+    return QueryBlockParams(ln_gain=_ones((D,)), ln_bias=_zeros((D,)),
+                            attn=init_attention(cfg, rng))
 
 
-def init_cross_block(cfg: ModelConfig, rng: Rng, dtype) -> CrossBlockParams:
+def init_cross_block(cfg: ModelConfig, rng: Rng) -> CrossBlockParams:
     D, Dm = cfg.token_dim, cfg.mlp_dim
     return CrossBlockParams(
-        lnq_gain=_ones((D,), dtype), lnq_bias=_zeros((D,), dtype),
-        attn=init_attention(cfg, rng, dtype),
-        mlp_w1=_param(rng, (D, Dm), dtype), mlp_b1=_zeros((Dm,), dtype),
-        mlp_w2=_param(rng, (Dm, D), dtype), mlp_b2=_zeros((D,), dtype))
+        lnq_gain=_ones((D,)), lnq_bias=_zeros((D,)),
+        attn=init_attention(cfg, rng),
+        mlp_w1=_param(rng, (D, Dm)), mlp_b1=_zeros((Dm,)),
+        mlp_w2=_param(rng, (Dm, D)), mlp_b2=_zeros((D,)))
 
 
-def init_head(cfg: ModelConfig, rng: Rng, dtype) -> HeadParams:
+def init_head(cfg: ModelConfig, rng: Rng) -> HeadParams:
     D = cfg.token_dim
     Dh = max(1, D // 2)
-    return HeadParams(w1=_param(rng, (D, Dh), dtype), b1=_zeros((Dh,), dtype),
-                      w2=_param(rng, (Dh, 1), dtype), b2=_zeros((1,), dtype))
+    return HeadParams(w1=_param(rng, (D, Dh)), b1=_zeros((Dh,)),
+                      w2=_param(rng, (Dh, 1)), b2=_zeros((1,)))
 
 
-def init_panel(cfg: ModelConfig, rng: Rng, dtype) -> Tensor:
+def init_panel(cfg: ModelConfig, rng: Rng) -> Tensor:
     """Panel embeddings J, one row per member, small random init."""
-    return _param(rng, (cfg.panel_size, cfg.token_dim), dtype)
+    return _param(rng, (cfg.panel_size, cfg.token_dim))
 
 
 def panel_inputs(t_cls: Tensor, panel: Tensor) -> Tensor:

@@ -13,8 +13,9 @@ import numpy as np
 from .tensor import Rng, ShapeError, Tensor, gelu, layer_norm, matmul
 from .tensor import softmax_lastdim  # noqa: F401  perfbench wraps it here
 
-VARIANTS = ("full", "encoder_only", "panel_no_decoder",
-            "decoder_random_queries", "decoder_cls_queries")
+# in the order of the component ablation's rows
+VARIANTS = ("encoder_only", "panel_no_decoder", "decoder_random_queries",
+            "decoder_cls_queries", "full")
 
 
 @dataclass
@@ -95,46 +96,46 @@ class EmbeddingParams:
     pos_embed: Tensor     # (N+1, D)
 
 
-def _param(rng: Rng, shape, dtype) -> Tensor:
+def _param(rng: Rng, shape) -> Tensor:
     """Weights drawn from a normal with std 0.02, truncated at two std."""
-    return Tensor(rng.trunc_normal(shape, std=0.02, dtype=dtype), requires_grad=True)
+    return Tensor(rng.trunc_normal(shape, std=0.02), requires_grad=True)
 
 
-def _zeros(shape, dtype) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+def _zeros(shape) -> Tensor:
+    return Tensor(np.zeros(shape), requires_grad=True)
 
 
-def _ones(shape, dtype) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
+def _ones(shape) -> Tensor:
+    return Tensor(np.ones(shape), requires_grad=True)
 
 
-def init_attention(cfg: ModelConfig, rng: Rng, dtype) -> AttentionParams:
+def init_attention(cfg: ModelConfig, rng: Rng) -> AttentionParams:
     D = cfg.token_dim
     return AttentionParams(
-        wq=_param(rng, (D, D), dtype), bq=_zeros((D,), dtype),
-        wk=_param(rng, (D, D), dtype), bk=_zeros((D,), dtype),
-        wv=_param(rng, (D, D), dtype), bv=_zeros((D,), dtype),
-        wo=_param(rng, (D, D), dtype), bo=_zeros((D,), dtype))
+        wq=_param(rng, (D, D)), bq=_zeros((D,)),
+        wk=_param(rng, (D, D)), bk=_zeros((D,)),
+        wv=_param(rng, (D, D)), bv=_zeros((D,)),
+        wo=_param(rng, (D, D)), bo=_zeros((D,)))
 
 
-def init_encoder_block(cfg: ModelConfig, rng: Rng, dtype) -> EncoderBlockParams:
+def init_encoder_block(cfg: ModelConfig, rng: Rng) -> EncoderBlockParams:
     D, Dm = cfg.token_dim, cfg.mlp_dim
     return EncoderBlockParams(
-        ln1_gain=_ones((D,), dtype), ln1_bias=_zeros((D,), dtype),
-        attn=init_attention(cfg, rng, dtype),
-        ln2_gain=_ones((D,), dtype), ln2_bias=_zeros((D,), dtype),
-        mlp_w1=_param(rng, (D, Dm), dtype), mlp_b1=_zeros((Dm,), dtype),
-        mlp_w2=_param(rng, (Dm, D), dtype), mlp_b2=_zeros((D,), dtype))
+        ln1_gain=_ones((D,)), ln1_bias=_zeros((D,)),
+        attn=init_attention(cfg, rng),
+        ln2_gain=_ones((D,)), ln2_bias=_zeros((D,)),
+        mlp_w1=_param(rng, (D, Dm)), mlp_b1=_zeros((Dm,)),
+        mlp_w2=_param(rng, (Dm, D)), mlp_b2=_zeros((D,)))
 
 
-def init_embedding(cfg: ModelConfig, rng: Rng, dtype) -> EmbeddingParams:
+def init_embedding(cfg: ModelConfig, rng: Rng) -> EmbeddingParams:
     D = cfg.token_dim
     pd = cfg.patch_size * cfg.patch_size * cfg.channels
     return EmbeddingParams(
-        patch_proj_w=_param(rng, (pd, D), dtype),
-        patch_proj_b=_zeros((D,), dtype),
-        cls_token=_param(rng, (1, D), dtype),
-        pos_embed=_param(rng, (cfg.num_patches + 1, D), dtype))
+        patch_proj_w=_param(rng, (pd, D)),
+        patch_proj_b=_zeros((D,)),
+        cls_token=_param(rng, (1, D)),
+        pos_embed=_param(rng, (cfg.num_patches + 1, D)))
 
 
 def patchify(image: Tensor, p: int) -> Tensor:

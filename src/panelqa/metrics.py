@@ -84,13 +84,12 @@ def evaluate(model: QualityTransformer, manifest: Manifest,
     if len(manifest) < 2:
         raise MetricError("evaluate needs a manifest with n >= 2")
     hw = model.config.crop_hw
-    dtype = model.dtype
     preds = []
     rng = Rng(("eval", seed))
     for sample in manifest.samples:
         img = load_image(sample)
         crops = sample_crops(img, crops_per_image, hw, rng)
-        batch = Tensor(np.stack(crops).astype(dtype))
+        batch = Tensor(np.stack(crops))
         with no_grad():
             scores, _, _ = forward_panel(model, batch)
         preds.append(float(scores.data.mean()))
@@ -139,8 +138,7 @@ def panel_cosine(model: QualityTransformer, manifest: Manifest) -> PanelDiagnost
     mats, spreads = [], []
     for sample in manifest.samples:
         img = load_image(sample)
-        crop = center_crop(img, hw).astype(model.dtype)
-        pred = predict(model, Tensor(crop))
+        pred = predict(model, Tensor(center_crop(img, hw)))
         if pred.quality_embeddings is None:
             raise MetricError(
                 f"variant {model.config.variant!r} has no quality embeddings")

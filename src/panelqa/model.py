@@ -20,16 +20,18 @@ from .encoder import EmbeddingParams, EncoderBlockParams, ModelConfig
 from .tensor import Rng, ShapeError, Tensor, no_grad
 
 
-@dataclass
+@dataclass(kw_only=True)
 class QualityTransformer:
+    """The parts present define the variant (see ``forward_panel``);
+    parameters, and so checkpoint records, follow the field order."""
     config: ModelConfig
     embedding: EmbeddingParams
     enc_blocks: list[EncoderBlockParams]
-    head: dec.HeadParams
     panel: Optional[Tensor] = None                 # (L, D) embeddings
+    random_queries: Optional[Tensor] = None        # (L, D), image-independent
     query_block: Optional[dec.QueryBlockParams] = None
     cross_blocks: Optional[list[dec.CrossBlockParams]] = None
-    random_queries: Optional[Tensor] = None        # decoder_random_queries only
+    head: dec.HeadParams
 
     @property
     def dtype(self):
@@ -41,7 +43,7 @@ class QualityTransformer:
         def walk(prefix, obj):
             if isinstance(obj, Tensor):
                 out[prefix] = obj
-            elif is_dataclass(obj) and not isinstance(obj, (ModelConfig,)):
+            elif is_dataclass(obj):
                 for f in fields(obj):
                     walk(f"{prefix}.{f.name}" if prefix else f.name,
                          getattr(obj, f.name))
@@ -49,17 +51,7 @@ class QualityTransformer:
                 for i, item in enumerate(obj):
                     walk(f"{prefix}.{i}", item)
 
-        walk("embedding", self.embedding)
-        walk("enc_blocks", self.enc_blocks)
-        if self.panel is not None:
-            out["panel"] = self.panel
-        if self.random_queries is not None:
-            out["random_queries"] = self.random_queries
-        if self.query_block is not None:
-            walk("query_block", self.query_block)
-        if self.cross_blocks is not None:
-            walk("cross_blocks", self.cross_blocks)
-        walk("head", self.head)
+        walk("", self)
         return out
 
     def zero_grad(self):
@@ -68,64 +60,59 @@ class QualityTransformer:
 
 
 def init_model(config: ModelConfig, rng: Rng, dtype=np.float64) -> QualityTransformer:
-    """Build a freshly initialized model; identical (seed, config) gives
-    bit-identical parameters."""
+    """A fresh model with the parts of its variant, drawn in float64 and cast
+    to ``dtype``; identical (seed, config) gives bit-identical parameters."""
     v = config.variant
-    model = QualityTransformer(
-        config=config,
-        embedding=enc.init_embedding(config, rng, dtype),
-        enc_blocks=[enc.init_encoder_block(config, rng, dtype)
+    parts = dict(
+        embedding=enc.init_embedding(config, rng),
+        enc_blocks=[enc.init_encoder_block(config, rng)
                     for _ in range(config.encoder_depth)],
-        head=dec.init_head(config, rng, dtype))
-    uses_decoder = v in ("full", "decoder_random_queries", "decoder_cls_queries")
+        head=dec.init_head(config, rng))
     if v in ("full", "panel_no_decoder"):
-        model.panel = dec.init_panel(config, rng, dtype)
+        parts["panel"] = dec.init_panel(config, rng)
     if v == "decoder_random_queries":
-        model.random_queries = dec.init_panel(config, rng, dtype)
-    if uses_decoder:
-        model.query_block = dec.init_query_block(config, rng, dtype)
-        model.cross_blocks = [dec.init_cross_block(config, rng, dtype)
-                              for _ in range(config.decoder_depth)]
+        parts["random_queries"] = dec.init_panel(config, rng)
+    if v in ("full", "decoder_random_queries", "decoder_cls_queries"):
+        parts["query_block"] = dec.init_query_block(config, rng)
+        parts["cross_blocks"] = [dec.init_cross_block(config, rng)
+                                 for _ in range(config.decoder_depth)]
+    model = QualityTransformer(config=config, **parts)
+    for p in model.named_parameters().values():
+        p.data = p.data.astype(dtype, copy=False)
     return model
 
 
 def forward_panel(model: QualityTransformer, images: Tensor):
-    """Batched forward pass up to panel scores.
+    """Batched forward pass up to panel scores, in the model's dtype.
 
     images: (B, C, H, W). Returns (panel_scores (B, L'), quality_embeddings
     (B, L', D) or None, attention weight list per decoder layer).
     """
     cfg = model.config
+    if images.dtype != model.dtype:
+        images = Tensor(images.data.astype(model.dtype))
     z = enc.encode(images, model.embedding, model.enc_blocks, cfg.heads,
                    cfg.patch_size)
     cls = z[:, 0:1, :]            # (B, 1, D)
     patches = z[:, 1:, :]         # (B, N, D)
-    B = images.shape[0]
-    v = cfg.variant
 
-    if v == "encoder_only":
-        scores = dec.score_head(cls, model.head)          # (B, 1)
-        return scores, None, []
-    if v == "panel_no_decoder":
+    if model.panel is not None:
         x = dec.panel_inputs(cls, model.panel)            # (B, L, D)
-        return dec.score_head(x, model.head), x, []
-
-    if v == "full":
-        x = dec.panel_inputs(cls, model.panel)
-    elif v == "decoder_cls_queries":
+    elif model.random_queries is not None:
+        ones = Tensor(np.ones((images.shape[0], 1, 1), model.dtype))
+        x = model.random_queries * ones                   # (B, L, D)
+    else:
         x = cls
-    else:  # decoder_random_queries
-        ones = Tensor(np.ones((B, 1, 1), dtype=images.dtype))
-        x = model.random_queries.reshape((1,) + model.random_queries.shape) * ones
+    if model.query_block is None:
+        embeddings = None if model.panel is None else x
+        return dec.score_head(x, model.head), embeddings, []
 
-    q = dec.make_queries(x, model.query_block, cfg.heads)
+    out = dec.make_queries(x, model.query_block, cfg.heads)
     maps = []
-    out = q
     for block in model.cross_blocks:
         out, w = dec.cross_attend(out, patches, block, cfg.heads)
         maps.append(w)
-    scores = dec.score_head(out, model.head)
-    return scores, out, maps
+    return dec.score_head(out, model.head), out, maps
 
 
 def forward_scores(model: QualityTransformer, images: Tensor) -> Tensor:

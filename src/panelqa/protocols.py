@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Manifest, atomic_write, split
-from .encoder import ModelConfig
+from .encoder import VARIANTS, ModelConfig
 from .metrics import evaluate
 from .model import init_model
 from .tensor import Rng
@@ -17,8 +17,7 @@ from .training import TrainConfig, fit
 
 DATA_EFFICIENCY_FRACTIONS = (0.2, 0.4, 0.6)
 DEPTH_ABLATION_DEPTHS = (1, 2, 4, 8)
-COMPONENT_VARIANTS = ("encoder_only", "panel_no_decoder",
-                      "decoder_random_queries", "decoder_cls_queries", "full")
+COMPONENT_VARIANTS = VARIANTS
 
 
 @dataclass

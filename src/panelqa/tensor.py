@@ -385,14 +385,14 @@ class Rng:
     def normal(self, shape, std=1.0, dtype=np.float64) -> np.ndarray:
         return (self._gen.standard_normal(size=shape) * std).astype(dtype)
 
-    def trunc_normal(self, shape, std=0.02, dtype=np.float64) -> np.ndarray:
+    def trunc_normal(self, shape, std=0.02) -> np.ndarray:
         """Normal(0, std) resampled until within two standard deviations."""
         out = self._gen.standard_normal(size=shape)
         bad = np.abs(out) > 2.0
         while bad.any():
             out[bad] = self._gen.standard_normal(size=int(bad.sum()))
             bad = np.abs(out) > 2.0
-        return (out * std).astype(dtype)
+        return out * std
 
     def uniform(self, shape, lo=0.0, hi=1.0, dtype=np.float64) -> np.ndarray:
         return self._gen.uniform(lo, hi, size=shape).astype(dtype)

@@ -190,7 +190,7 @@ def fit(model: QualityTransformer, manifest: Manifest, cfg: TrainConfig,
         order = Rng(("order", cfg.seed, epoch)).permutation(len(images))
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            batch = Tensor(np.stack([images[i] for i in idx]).astype(dtype))
+            batch = Tensor(np.stack([images[i] for i in idx]))
             target = Tensor(np.array([targets[i] for i in idx], dtype=dtype))
             scores = forward_scores(model, batch)
             loss = smooth_l1(scores, target, beta=cfg.smooth_l1_beta)

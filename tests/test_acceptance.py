@@ -115,12 +115,12 @@ class TestCriterion2:
         for seed in range(20):
             rng = Rng(("oracle", seed))
             # mhsa against the loop oracle
-            p = init_attention(cfg, rng.child(0), np.float64)
+            p = init_attention(cfg, rng.child(0))
             x = rng.normal((9, D))
             got = mhsa(Tensor(x[None]), p, h).data[0]
             worst = max(worst, np.abs(got - naive_attention(x, x, p, h)).max())
             # make_queries: MHSA(Norm(cls + panel)) + (cls + panel)
-            qb = init_query_block(cfg, rng.child(1), np.float64)
+            qb = init_query_block(cfg, rng.child(1))
             q_in = panel_inputs(Tensor(rng.normal((1, D))),
                                 Tensor(rng.normal((L, D)))).data
             got_q = make_queries(Tensor(q_in[None]), qb, h).data[0]
@@ -129,7 +129,7 @@ class TestCriterion2:
             want_q = naive_attention(normed, normed, qb.attn, h) + q_in
             worst = max(worst, np.abs(got_q - want_q).max())
             # cross_attend: MLP(MHCA(Norm(q), kv) + q), no trailing residual
-            cb = init_cross_block(cfg, rng.child(2), np.float64)
+            cb = init_cross_block(cfg, rng.child(2))
             q2 = rng.normal((L, D))
             kv = rng.normal((7, D))
             out, _ = cross_attend(Tensor(q2[None]), Tensor(kv[None]), cb, h)

@@ -55,9 +55,10 @@ def composed_attention(q_in, kv_in, p, heads):
 
 def random_attention(seed, dtype):
     """Toy attention parameters with non-zero biases."""
-    p = enc.init_attention(toy_config(), Rng(seed), dtype)
+    p = enc.init_attention(toy_config(), Rng(seed))
     rng = Rng((seed, "shift"))
     for t in vars(p).values():
+        t.data = t.data.astype(dtype)
         t.data += rng.normal(t.shape, std=0.3, dtype=dtype)
     return p
 
