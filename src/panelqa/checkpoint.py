@@ -6,7 +6,8 @@ Layout (all integers little-endian):
 Tensor record: u32 name_len | name utf-8 | u8 dtype (1=f32, 2=f64) |
   u32 rank | rank x u64 dims | raw little-endian element bytes.
 Optimizer moment tensors are stored with "opt.m." / "opt.v." name prefixes.
-Every tensor has the model's dtype; a file that mixes dtypes is rejected.
+Every tensor has the model's dtype, float32 or float64; the writer refuses
+and the reader rejects a file that mixes dtypes.
 The config is the model's ``key = value`` text, written and read by
 ``panelqa.config`` like ``config.txt``; a header must name every
 ``ModelConfig`` key, and a malformed one fails naming the file and the key.
@@ -119,14 +120,29 @@ class _Reader:
             raise self.error(f"{where}: bad dims {dims}: {exc}") from None
 
 
+def _check_dtypes(path: str, records: list[tuple[str, np.ndarray]]) -> None:
+    """Every record is float32 or float64, in the first record's dtype."""
+    for name, arr in records:
+        first, dtype = records[0][0], records[0][1].dtype
+        if arr.dtype not in _DTYPE_CODES:
+            raise CheckpointError(f"{path}: tensor {name} is {arr.dtype}; a "
+                                  f"checkpoint holds float32 or float64")
+        if arr.dtype != dtype:
+            raise CheckpointError(
+                f"{path}: tensor {name} is {arr.dtype}, but the first tensor "
+                f"{first} is {dtype}; a checkpoint holds one dtype")
+
+
 def save_checkpoint(path: str, model: QualityTransformer,
                     optimizer: Optional[OptimizerState] = None) -> None:
-    """The header's step is the optimizer's, or 0 without one."""
+    """The header's step is the optimizer's, or 0 without one. The dtypes are
+    checked before anything is written."""
     params = model.named_parameters()
     records: list[tuple[str, np.ndarray]] = [(k, p.data) for k, p in params.items()]
     if optimizer is not None:
         records += [(f"opt.m.{k}", v) for k, v in optimizer.m.items()]
         records += [(f"opt.v.{k}", v) for k, v in optimizer.v.items()]
+    _check_dtypes(path, records)
     cfg_bytes = write(model.config).encode()
     with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
@@ -156,23 +172,18 @@ def load_checkpoint(path: str) -> Checkpoint:
                                              "config")))
     step = r.uint("<Q", "step")
     has_opt = r.uint("<B", "optimizer flag")
+    records = [r.tensor(i) for i in range(r.uint("<I", "tensor count"))]
+    if r.pos < len(r.raw):
+        raise r.error(f"{len(r.raw) - r.pos} trailing bytes at byte {r.pos}")
+    _check_dtypes(path, records)
     tensors, opt_m, opt_v = {}, {}, {}
-    for i in range(r.uint("<I", "tensor count")):
-        name, arr = r.tensor(i)
-        if i == 0:
-            first = (name, arr.dtype)
-        elif arr.dtype != first[1]:
-            raise r.error(f"tensor {name} is {arr.dtype}, but the first "
-                          f"tensor {first[0]} is {first[1]}; a checkpoint "
-                          f"holds one dtype")
+    for name, arr in records:
         if name.startswith("opt.m."):
             opt_m[name[6:]] = arr
         elif name.startswith("opt.v."):
             opt_v[name[6:]] = arr
         else:
             tensors[name] = arr
-    if r.pos < len(r.raw):
-        raise r.error(f"{len(r.raw) - r.pos} trailing bytes at byte {r.pos}")
     return Checkpoint(config=config, tensors=tensors, step=step,
                       opt_m=opt_m if has_opt else None,
                       opt_v=opt_v if has_opt else None)

@@ -60,6 +60,11 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in PROTOCOLS:
             raise ValueError(f"unknown protocol mode {self.mode!r}")
+        for name in ("eval_crops", "repeats"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
+        if not 0.0 < self.train_frac < 1.0:
+            raise ValueError("train_frac must be in (0, 1)")
 
     def text(self) -> str:
         return write(self.model) + write(self.train) + write(self)

@@ -245,8 +245,9 @@ def write_manifest(path: str, manifest: Manifest) -> None:
 
 
 def read_manifest(path: str) -> Manifest:
-    """Relative image paths resolve against the manifest's directory. A bad
-    row raises ValueError starting with ``path:line:`` and naming the field."""
+    """Relative image paths resolve against the manifest's directory, and
+    whitespace around a field is dropped. A bad row raises ValueError
+    starting with ``path:line:`` and naming the field."""
     samples = []
     seen = set()
     base = os.path.dirname(os.path.abspath(path))
@@ -258,10 +259,12 @@ def read_manifest(path: str) -> Manifest:
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(",")
+            parts = [part.strip() for part in line.split(",")]
             if len(parts) != 3:
                 raise ValueError(f"{path}:{line_no}: expected 3 fields")
             ref, score, group = parts
+            if not ref:
+                raise ValueError(f"{path}:{line_no}: empty image path")
             if ref in seen:
                 raise ValueError(f"{path}:{line_no}: duplicate image {ref}")
             seen.add(ref)

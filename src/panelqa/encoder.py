@@ -13,7 +13,6 @@ import numpy as np
 from .tensor import Rng, ShapeError, Tensor, gelu, layer_norm, matmul
 from .tensor import softmax_lastdim  # noqa: F401  perfbench wraps it here
 
-# in the order of the component ablation's rows
 VARIANTS = ("encoder_only", "panel_no_decoder", "decoder_random_queries",
             "decoder_cls_queries", "full")
 

@@ -134,11 +134,10 @@ def cosine_matrix(embeddings: np.ndarray) -> np.ndarray:
 
 def panel_cosine(model: QualityTransformer, manifest: Manifest) -> PanelDiagnostics:
     """Average pairwise cosine similarity of the panel quality embeddings."""
-    hw = model.config.crop_hw
     mats, spreads = [], []
     for sample in manifest.samples:
         img = load_image(sample)
-        pred = predict(model, Tensor(center_crop(img, hw)))
+        pred = predict(model, Tensor(center_crop(img, model.config.crop_hw)))
         if pred.quality_embeddings is None:
             raise MetricError(
                 f"variant {model.config.variant!r} has no quality embeddings")

@@ -175,7 +175,6 @@ def fit(model: QualityTransformer, manifest: Manifest, cfg: TrainConfig,
         state = OptimizerState.init(params)
     labels = _label_array(manifest, cfg)
     hw = model.config.crop_hw
-    dtype = model.dtype
     log = TrainLog()
     step = state.step
     for epoch in range(cfg.epochs):
@@ -191,7 +190,7 @@ def fit(model: QualityTransformer, manifest: Manifest, cfg: TrainConfig,
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             batch = Tensor(np.stack([images[i] for i in idx]))
-            target = Tensor(np.array([targets[i] for i in idx], dtype=dtype))
+            target = Tensor(np.array([targets[i] for i in idx], model.dtype))
             scores = forward_scores(model, batch)
             loss = smooth_l1(scores, target, beta=cfg.smooth_l1_beta)
             loss_val = loss.item()

@@ -224,6 +224,7 @@ class TestCriterion6:
         assert time.time() - start <= 120
 
 
+@pytest.mark.slow
 class TestCriterion7:
     def test_7_synthetic_generalization(self):
         """slow: five independent train/eval runs on a 2000-sample corpus."""
@@ -266,6 +267,7 @@ class TestCriterion8:
         assert plcc([1, 2, 3], [1, 2, 4]) == pytest.approx(0.982, abs=1e-3)
 
 
+@pytest.mark.slow
 class TestCriterion9:
     # KNOWN FAILURE, kept red on purpose. At this scale, from-scratch
     # training reverses both expected directions:

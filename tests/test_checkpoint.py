@@ -65,10 +65,20 @@ class TestRoundTrip:
         before = path.read_bytes()
         model = toy_model(seed=4)
         model.head.b2.data = model.head.b2.data.astype(np.float16)
-        with pytest.raises(KeyError):   # no dtype code, in the last record
+        with pytest.raises(CheckpointError, match="tensor head.b2 is float16"):
             save_checkpoint(str(path), model)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
+    def test_mixed_dtypes_not_written(self, tmp_path):
+        """The writer refuses a file that the reader would refuse."""
+        path = tmp_path / "m.ckpt"
+        model = toy_model(seed=4)
+        model.head.b2.data = model.head.b2.data.astype(np.float32)
+        with pytest.raises(CheckpointError) as info:
+            save_checkpoint(str(path), model)
+        assert str(info.value).startswith(f"{path}: tensor head.b2 is float32")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGoldenBytes:
@@ -168,10 +178,18 @@ class TestErrors:
 
     def test_mixed_dtypes_name_file_and_tensor(self, tmp_path):
         model = toy_model(seed=6)
-        first = model.embedding.patch_proj_w
-        first.data = first.data.astype(np.float32)
         path = str(tmp_path / "mixed.ckpt")
         save_checkpoint(path, model)
+        blob = open(path, "rb").read()
+        for p in model.named_parameters().values():
+            p.data = p.data.astype(np.float32)
+        save_checkpoint(path, model)
+        blob32 = open(path, "rb").read()
+        # the writer refuses mixed dtypes: splice a float32 first record
+        # into the float64 file
+        with open(path, "wb") as fh:
+            fh.write(blob32[:record_offsets(blob32)[1]]
+                     + blob[record_offsets(blob)[1]:])
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(path)
         assert path in str(info.value)

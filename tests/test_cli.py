@@ -381,6 +381,16 @@ class TestInputsCheckedFirst:
                       "--precision", "64"],
                      "precision = 64 does not match precision = 32",
                      id="eval-precision"),
+        pytest.param(["train", "--manifest", "{data}", "--eval-crops", "0"],
+                     "eval_crops must be positive", id="train-eval-crops"),
+        pytest.param(["eval", "--checkpoint", "{ckpt}", "--manifest", "{data}",
+                      "--eval-crops", "-1"],
+                     "eval_crops must be positive", id="eval-eval-crops"),
+        pytest.param(["protocol", "--manifest", "{data}", "--repeats", "0"],
+                     "repeats must be positive", id="protocol-repeats"),
+        pytest.param(["protocol", "--manifest", "{data}", "--train-frac",
+                      "1.5"], "train_frac must be in (0, 1)",
+                     id="protocol-train-frac"),
     ])
     def test_failure_leaves_no_output_directory(self, capsys, tmp_path,
                                                 toy_cfg_file, toy_dataset,

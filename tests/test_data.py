@@ -220,6 +220,14 @@ class TestFileIO:
         with pytest.raises(ValueError):
             data.read_manifest(str(p))
 
+    def test_whitespace_around_fields_dropped(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("path,score,group\n a.ppm , 1.0 , g \nb.ppm,0.5,g\n")
+        m = data.read_manifest(str(p))
+        assert m.groups() == ["g"]
+        assert m.samples[0].image_ref == str(tmp_path / "a.ppm")
+        assert m.samples[0].score == 1.0
+
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("file,mos\n")
@@ -232,7 +240,8 @@ class TestFileIO:
         ("a.ppm,-inf,g0", "m.csv:3: sample score must be finite"),
         ("a.ppm,,g0", "m.csv:3: score '' is not a number"),
         ("a.ppm,1.0,", "m.csv:3: sample group_id must be non-empty"),
-    ], ids=["text", "nan", "-inf", "empty-score", "empty-group"])
+        (",0.5,g2", "m.csv:3: empty image path"),
+    ], ids=["text", "nan", "-inf", "empty-score", "empty-group", "empty-path"])
     def test_bad_row_names_path_line_and_field(self, tmp_path, row, message):
         p = tmp_path / "m.csv"
         p.write_text(f"path,score,group\nb.ppm,0.5,g1\n{row}\n")
