@@ -123,10 +123,10 @@ class _Reader:
 def _check_dtypes(path: str, records: list[tuple[str, np.ndarray]]) -> None:
     """Every record is float32 or float64, in the first record's dtype."""
     for name, arr in records:
-        first, dtype = records[0][0], records[0][1].dtype
         if arr.dtype not in _DTYPE_CODES:
             raise CheckpointError(f"{path}: tensor {name} is {arr.dtype}; a "
                                   f"checkpoint holds float32 or float64")
+        first, dtype = records[0][0], records[0][1].dtype
         if arr.dtype != dtype:
             raise CheckpointError(
                 f"{path}: tensor {name} is {arr.dtype}, but the first tensor "
