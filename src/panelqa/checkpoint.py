@@ -5,7 +5,7 @@ Layout (all integers little-endian):
   u8 has_optimizer | u32 n_tensors | tensor records
 Tensor record: u32 name_len | name utf-8 | u8 dtype (1=f32, 2=f64) |
   u32 rank | rank x u64 dims | raw little-endian element bytes.
-Optimizer moment tensors are stored with "opt.m." / "opt.v." name prefixes.
+Optimizer moments are "opt.m." / "opt.v." records, present iff has_optimizer=1.
 Every tensor has the model's dtype, float32 or float64; the writer refuses
 and the reader rejects a file that mixes dtypes.
 The config is the model's ``key = value`` text, written and read by
@@ -40,6 +40,7 @@ class CheckpointError(IOError):
 
 @dataclass
 class Checkpoint:
+    path: str   # the file it was read from, named by every error
     config: ModelConfig
     tensors: dict[str, np.ndarray]
     step: int = 0
@@ -171,6 +172,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     config = _read_config(path, bytes(r.take(r.uint("<I", "config length"),
                                              "config")))
     step = r.uint("<Q", "step")
+    flag_at = r.pos
     has_opt = r.uint("<B", "optimizer flag")
     records = [r.tensor(i) for i in range(r.uint("<I", "tensor count"))]
     if r.pos < len(r.raw):
@@ -184,25 +186,28 @@ def load_checkpoint(path: str) -> Checkpoint:
             opt_v[name[6:]] = arr
         else:
             tensors[name] = arr
-    return Checkpoint(config=config, tensors=tensors, step=step,
+    if has_opt != bool(opt_m or opt_v):   # 1 exactly when opt.* records follow
+        raise r.error(f"optimizer flag {has_opt} at byte {flag_at} does not "
+                      f"match the {len(opt_m) + len(opt_v)} opt.* records")
+    return Checkpoint(path=path, config=config, tensors=tensors, step=step,
                       opt_m=opt_m if has_opt else None,
                       opt_v=opt_v if has_opt else None)
 
 
-def _check_records(stored: dict[str, np.ndarray], params: dict[str, Tensor],
-                   prefix: str = "") -> None:
+def _check_records(path: str, stored: dict[str, np.ndarray],
+                   params: dict[str, Tensor], prefix: str = "") -> None:
     """``stored`` holds one array of each parameter's shape and nothing else;
-    errors name the records."""
+    errors name the file and the records."""
     missing = sorted(params.keys() - stored.keys())
     extra = sorted(stored.keys() - params.keys())
     if missing or extra:
         raise CheckpointError(
-            f"tensor name mismatch: missing={[prefix + k for k in missing]} "
-            f"extra={[prefix + k for k in extra]}")
+            f"{path}: tensor name mismatch: missing="
+            f"{[prefix + k for k in missing]} extra={[prefix + k for k in extra]}")
     for name, p in params.items():
         if stored[name].shape != p.shape:
             raise CheckpointError(
-                f"shape mismatch for tensor {prefix}{name}: checkpoint "
+                f"{path}: shape mismatch for tensor {prefix}{name}: checkpoint "
                 f"{stored[name].shape} vs model {p.shape}")
 
 
@@ -211,7 +216,7 @@ def build_model(ckpt: Checkpoint) -> QualityTransformer:
     dtype = next(iter(ckpt.tensors.values())).dtype if ckpt.tensors else np.float64
     model = init_model(ckpt.config, Rng(0), dtype=dtype)
     params = model.named_parameters()
-    _check_records(ckpt.tensors, params)
+    _check_records(ckpt.path, ckpt.tensors, params)
     for name, p in params.items():
         p.data = ckpt.tensors[name].astype(dtype)
     return model
@@ -220,9 +225,9 @@ def build_model(ckpt: Checkpoint) -> QualityTransformer:
 def load_optimizer(ckpt: Checkpoint, params: dict[str, Tensor]) -> OptimizerState:
     """The AdamW state of ``params``: both moments of every parameter."""
     if ckpt.opt_m is None:
-        raise CheckpointError("checkpoint carries no optimizer state")
+        raise CheckpointError(f"{ckpt.path}: checkpoint carries no optimizer state")
     for prefix, stored in (("opt.m.", ckpt.opt_m), ("opt.v.", ckpt.opt_v)):
-        _check_records(stored, params, prefix)
+        _check_records(ckpt.path, stored, params, prefix)
     return OptimizerState(m={k: ckpt.opt_m[k].copy() for k in params},
                           v={k: ckpt.opt_v[k].copy() for k in params},
                           step=ckpt.step)
@@ -234,7 +239,7 @@ def load_encoder_weights(model: QualityTransformer, ckpt: Checkpoint) -> int:
     params = model.named_parameters()
     found = {k: arr for k, arr in ckpt.tensors.items()
              if k.startswith(("embedding.", "enc_blocks.")) and k in params}
-    _check_records(found, {k: params[k] for k in found})
+    _check_records(ckpt.path, found, {k: params[k] for k in found})
     for name, arr in found.items():
         params[name].data = arr.astype(params[name].data.dtype)
     return len(found)

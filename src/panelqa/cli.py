@@ -111,6 +111,14 @@ def _checkpoint_model(cfg: RunConfig, args, path: str):
     return ckpt, model, replace(cfg, model=model.config, train=train)
 
 
+def _check_crop_fits(hw: int, *manifests) -> None:
+    """Every image of the manifests holds an ``hw`` x ``hw`` crop."""
+    for s in (x for m in manifests if m is not None for x in m):
+        _, h, w = dat.load_image(s).shape
+        if h < hw or w < hw:
+            raise ValueError(f"{s.image_ref}: image {h}x{w} smaller than crop {hw}")
+
+
 def _prepare_out(cfg: RunConfig, out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     with dat.atomic_write(os.path.join(out_dir, "config.txt")) as fh:
@@ -143,6 +151,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
         model = init_model(cfg.model, Rng(("model", cfg.train.seed)),
                            dtype=cfg.train.dtype)
         state = OptimizerState.init(model.named_parameters())
+    _check_crop_fits(cfg.model.crop_hw, manifest, test_manifest)
     out = _prepare_out(cfg, args.out)
     log = fit(model, manifest, cfg.train, state=state)
     log.write(os.path.join(out, "train.log"))
@@ -159,9 +168,10 @@ def cmd_train(cfg: RunConfig, args) -> int:
 def cmd_eval(cfg: RunConfig, args) -> int:
     manifest = dat.read_manifest(args.manifest)
     _, model, cfg = _checkpoint_model(cfg, args, args.checkpoint)
-    out = _prepare_out(cfg, args.out)
+    _check_crop_fits(cfg.model.crop_hw, manifest)
     report = evaluate(model, manifest, crops_per_image=cfg.eval_crops,
                       seed=cfg.train.seed)
+    out = _prepare_out(cfg, args.out)
     report.write(os.path.join(out, "eval.txt"))
     svg_scatter(os.path.join(out, "scatter.svg"), report.labels,
                 report.predictions, title="label vs prediction")
@@ -171,6 +181,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 
 def cmd_protocol(cfg: RunConfig, args) -> int:
     manifest = dat.read_manifest(args.manifest)
+    _check_crop_fits(cfg.model.crop_hw, manifest)
     out = _prepare_out(cfg, args.out)
     run, extra = PROTOCOLS[cfg.mode]
     report = run(manifest, cfg.model, cfg.train,
@@ -201,8 +212,8 @@ def cmd_gradcheck(cfg: RunConfig, args) -> int:
 def cmd_panel_sim(cfg: RunConfig, args) -> int:
     manifest = dat.read_manifest(args.manifest)
     _, model, cfg = _checkpoint_model(cfg, args, args.checkpoint)
-    out = _prepare_out(cfg, args.out)
     diag = panel_cosine(model, manifest)
+    out = _prepare_out(cfg, args.out)
     diag.write(os.path.join(out, "panel.txt"))
     svg_heatmap(os.path.join(out, "panel.svg"), diag.cosine,
                 title="panel cosine similarity")
@@ -214,8 +225,8 @@ def cmd_panel_sim(cfg: RunConfig, args) -> int:
 def cmd_attn_map(cfg: RunConfig, args) -> int:
     image = dat.read_image(args.image)
     _, model, cfg = _checkpoint_model(cfg, args, args.checkpoint)
-    out = _prepare_out(cfg, args.out)
     amap = attention_map(model, Tensor(center_crop(image, model.config.crop_hw)))
+    out = _prepare_out(cfg, args.out)
     svg_heatmap(os.path.join(out, "attn.svg"), amap, title="quality attention")
     dat.write_ppm(os.path.join(out, "attn.ppm"), np.repeat(amap[None], 3, axis=0))
     print(f"attention map {amap.shape[0]}x{amap.shape[1]} written to {out}")

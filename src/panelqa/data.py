@@ -59,19 +59,6 @@ class Manifest:
         return out
 
 
-@dataclass
-class DistortionSpec:
-    kind: str
-    level: int
-    levels: int = 5
-
-    def __post_init__(self):
-        if self.kind not in DISTORTION_KINDS:
-            raise ValueError(f"unknown distortion kind {self.kind!r}")
-        if not 0 <= self.level < self.levels:
-            raise ValueError(f"level {self.level} outside 0..{self.levels - 1}")
-
-
 def gen_base_images(count: int, hw: int, rng: Rng) -> list[np.ndarray]:
     """Procedural pristine images: gradient + shapes + band-limited texture."""
     if count < 1:
@@ -102,29 +89,28 @@ def gen_base_images(count: int, hw: int, rng: Rng) -> list[np.ndarray]:
     return images
 
 
-def apply_distortion(image: np.ndarray, spec: DistortionSpec,
+def apply_distortion(image: np.ndarray, kind: str, level: int,
                      rng: Rng) -> np.ndarray:
     """Degrade an image; level 0 is exactly the identity, higher levels are
     strictly stronger. Output clamped to [0, 1]."""
-    if spec.level == 0:
+    if kind not in DISTORTION_KINDS:
+        raise ValueError(f"unknown distortion kind {kind!r}")
+    if level == 0:
         return image
-    lvl = spec.level
-    if spec.kind == "gaussian_blur":
-        out = np.stack([gaussian_filter(ch, sigma=0.8 * lvl) for ch in image])
-    elif spec.kind == "white_noise":
-        out = image + rng.normal(image.shape, std=0.06 * lvl)
-    elif spec.kind == "contrast_reduction":
-        out = 0.5 + (1.0 - 0.22 * lvl) * (image - 0.5)
-    elif spec.kind == "blockiness":
-        b = 2 * lvl  # block edge in pixels
+    if kind == "gaussian_blur":
+        out = np.stack([gaussian_filter(ch, sigma=0.8 * level) for ch in image])
+    elif kind == "white_noise":
+        out = image + rng.normal(image.shape, std=0.06 * level)
+    elif kind == "contrast_reduction":
+        out = 0.5 + (1.0 - 0.22 * level) * (image - 0.5)
+    else:  # blockiness
+        b = 2 * level  # block edge in pixels
         c, h, w = image.shape
         hb, wb = (h // b) * b, (w // b) * b
         out = image.copy()
         blocks = image[:, :hb, :wb].reshape(c, hb // b, b, wb // b, b)
         means = blocks.mean(axis=(2, 4), keepdims=True)
         out[:, :hb, :wb] = np.broadcast_to(means, blocks.shape).reshape(c, hb, wb)
-    else:  # pragma: no cover - guarded by DistortionSpec
-        raise ValueError(spec.kind)
     return np.clip(out, 0.0, 1.0)
 
 
@@ -133,13 +119,20 @@ def gen_synthetic_dataset(n_base: int, levels: int, kinds: Sequence[str],
     """Every base image x kind x level becomes one sample held in memory."""
     if levels < 2:
         raise ValueError("levels must be >= 2")
+    for kind in kinds:  # no level may invert the image or outgrow it
+        where = f"distortion kind {kind!r} with levels = {levels}, hw = {hw}"
+        if kind not in DISTORTION_KINDS:
+            raise ValueError(f"unknown {where}")
+        if kind == "contrast_reduction" and 0.22 * (levels - 1) >= 1:
+            raise ValueError(f"{where}: the top levels invert the image")
+        if kind == "blockiness" and 2 * (levels - 1) > hw:
+            raise ValueError(f"{where}: the top levels' blocks exceed the image")
     bases = gen_base_images(n_base, hw, rng.child(0))
     samples = []
     for bi, base in enumerate(bases):
         for kind in kinds:
             for level in range(levels):
-                spec = DistortionSpec(kind, level, levels)
-                img = apply_distortion(base, spec, rng.child(1, bi, level))
+                img = apply_distortion(base, kind, level, rng.child(1, bi, level))
                 samples.append(Sample(
                     image_ref=img,
                     score=1.0 - level / (levels - 1),

@@ -67,10 +67,9 @@ class EvalReport:
         return len(self.predictions)
 
     def lines(self) -> list[str]:
-        out = [f"n={self.n} srcc={self.srcc:.6f} plcc={self.plcc:.6f}"]
-        for p, l in zip(self.predictions, self.labels):
-            out.append(f"pred={p:.9e} label={l:.9e}")
-        return out
+        return [f"n={self.n} srcc={self.srcc:.6f} plcc={self.plcc:.6f}"] + [
+            f"pred={p:.9e} label={l:.9e}"
+            for p, l in zip(self.predictions, self.labels)]
 
     def write(self, path: str) -> None:
         with atomic_write(path) as fh:
@@ -87,9 +86,8 @@ def evaluate(model: QualityTransformer, manifest: Manifest,
     preds = []
     rng = Rng(("eval", seed))
     for sample in manifest.samples:
-        img = load_image(sample)
-        crops = sample_crops(img, crops_per_image, hw, rng)
-        batch = Tensor(np.stack(crops))
+        batch = Tensor(np.stack(sample_crops(load_image(sample), crops_per_image,
+                                             hw, rng)))
         with no_grad():
             scores, _, _ = forward_panel(model, batch)
         preds.append(float(scores.data.mean()))
@@ -105,12 +103,10 @@ class PanelDiagnostics:
     score_spread: np.ndarray  # per image, max - min panel score
 
     def lines(self) -> list[str]:
-        out = [f"panel_members={len(self.cosine)} "
-               f"mean_offdiag={self.mean_offdiag():.6f} "
-               f"mean_spread={self.score_spread.mean():.6e}"]
-        for row in self.cosine:
-            out.append("cos " + " ".join(f"{v:.6f}" for v in row))
-        return out
+        return [f"panel_members={len(self.cosine)} "
+                f"mean_offdiag={self.mean_offdiag():.6f} "
+                f"mean_spread={self.score_spread.mean():.6e}"] + [
+            "cos " + " ".join(f"{v:.6f}" for v in row) for row in self.cosine]
 
     def mean_offdiag(self) -> float:
         L = len(self.cosine)

@@ -54,10 +54,6 @@ class QualityTransformer:
         walk("", self)
         return out
 
-    def zero_grad(self):
-        for p in self.named_parameters().values():
-            p.zero_grad()
-
 
 def init_model(config: ModelConfig, rng: Rng, dtype=np.float64) -> QualityTransformer:
     """A fresh model with the parts of its variant, drawn in float64 and cast

@@ -6,11 +6,12 @@ import numpy as np
 from .data import atomic_write
 
 
-def _frame(width, height, body):
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">\n'
-            f'<rect width="{width}" height="{height}" fill="white"/>\n'
-            + body + "</svg>\n")
+def _write_svg(path, width, height, body):
+    with atomic_write(path) as fh:
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+                 f'height="{height}" viewBox="0 0 {width} {height}">\n'
+                 f'<rect width="{width}" height="{height}" fill="white"/>\n'
+                 + body + "</svg>\n")
 
 
 def _scale(values, lo_px, hi_px):
@@ -30,8 +31,7 @@ def svg_line(path: str, ys, title: str) -> None:
     body = (f'<polyline points="{pts}" fill="none" stroke="steelblue" '
             f'stroke-width="1.5"/>\n'
             f'<text x="10" y="{height - 8}" font-size="12">{title}</text>\n')
-    with atomic_write(path) as fh:
-        fh.write(_frame(width, height, body))
+    _write_svg(path, width, height, body)
 
 
 def svg_scatter(path: str, xs, ys, title: str) -> None:
@@ -42,8 +42,7 @@ def svg_scatter(path: str, xs, ys, title: str) -> None:
         f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="steelblue" '
         f'fill-opacity="0.6"/>\n' for x, y in zip(px, py))
     body += f'<text x="10" y="{size - 8}" font-size="12">{title}</text>\n'
-    with atomic_write(path) as fh:
-        fh.write(_frame(size, size, body))
+    _write_svg(path, size, size, body)
 
 
 def svg_heatmap(path: str, matrix, title: str) -> None:
@@ -61,5 +60,4 @@ def svg_heatmap(path: str, matrix, title: str) -> None:
                      f'height="{cell}" fill="rgb({r},{g},{b})"/>\n')
     height = h * cell + 18
     body += f'<text x="2" y="{height - 4}" font-size="12">{title}</text>\n'
-    with atomic_write(path) as fh:
-        fh.write(_frame(w * cell, height, body))
+    _write_svg(path, w * cell, height, body)

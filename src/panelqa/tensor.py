@@ -394,8 +394,8 @@ class Rng:
             bad = np.abs(out) > 2.0
         return out * std
 
-    def uniform(self, shape, lo=0.0, hi=1.0, dtype=np.float64) -> np.ndarray:
-        return self._gen.uniform(lo, hi, size=shape).astype(dtype)
+    def uniform(self, shape, lo=0.0, hi=1.0) -> np.ndarray:
+        return self._gen.uniform(lo, hi, size=shape)
 
     def integers(self, lo, hi, size=None):
         return self._gen.integers(lo, hi, size=size)

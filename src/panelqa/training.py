@@ -173,24 +173,22 @@ def fit(model: QualityTransformer, manifest: Manifest, cfg: TrainConfig,
     params = model.named_parameters()
     if state is None:
         state = OptimizerState.init(params)
-    labels = _label_array(manifest, cfg)
+    # crop i of an epoch comes from sample i // crops_per_image
+    targets = np.repeat(_label_array(manifest, cfg),
+                        cfg.crops_per_image).astype(model.dtype)
     hw = model.config.crop_hw
     log = TrainLog()
     step = state.step
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
         crop_rng = Rng(("crops", cfg.seed, epoch))
-        images, targets = [], []
-        for sample, label in zip(manifest.samples, labels):
-            img = load_image(sample)
-            for crop in sample_crops(img, cfg.crops_per_image, hw, crop_rng):
-                images.append(crop)
-                targets.append(label)
+        images = [crop for sample in manifest.samples for crop in sample_crops(
+            load_image(sample), cfg.crops_per_image, hw, crop_rng)]
         order = Rng(("order", cfg.seed, epoch)).permutation(len(images))
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             batch = Tensor(np.stack([images[i] for i in idx]))
-            target = Tensor(np.array([targets[i] for i in idx], model.dtype))
+            target = Tensor(targets[idx])
             scores = forward_scores(model, batch)
             loss = smooth_l1(scores, target, beta=cfg.smooth_l1_beta)
             loss_val = loss.item()

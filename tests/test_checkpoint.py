@@ -353,6 +353,80 @@ class TestOptimizerRecords:
             load_optimizer(ckpt, build_model(ckpt).named_parameters())
 
 
+class TestOptimizerFlag:
+    """The header's optimizer byte is 0 or 1, and 1 exactly when the file
+    holds opt.* records."""
+
+    @pytest.mark.parametrize("with_state", [True, False])
+    @pytest.mark.parametrize("flag", [0, 1, 2, 7])
+    def test_flag_must_match_the_records(self, tmp_path, with_state, flag):
+        model = toy_model(seed=4)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), model, optimizer=(
+            OptimizerState.init(model.named_parameters()) if with_state
+            else None))
+        blob = bytearray(path.read_bytes())
+        flag_at = record_offsets(blob)[0] - 5
+        assert blob[flag_at] == int(with_state)
+        blob[flag_at] = flag
+        path.write_bytes(bytes(blob))
+        if flag == int(with_state):
+            assert (load_checkpoint(str(path)).opt_m is None) != with_state
+            return
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(str(path))
+        n_opt = 2 * len(model.named_parameters()) if with_state else 0
+        assert (f"{path}: optimizer flag {flag} at byte {flag_at} does not "
+                f"match the {n_opt} opt.* records" in str(info.value))
+
+
+class TestRecordErrorsNameTheFile:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        model = toy_model(seed=16)
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, model,
+                        optimizer=OptimizerState.init(model.named_parameters()))
+        return path
+
+    def test_name_mismatch(self, saved):
+        ckpt = load_checkpoint(saved)
+        del ckpt.tensors["panel"]
+        with pytest.raises(CheckpointError,
+                           match=r"tensor name mismatch: missing=\['panel'\]"
+                           ) as info:
+            build_model(ckpt)
+        assert str(info.value).startswith(f"{saved}: ")
+
+    def test_shape_mismatch(self, saved):
+        ckpt = load_checkpoint(saved)
+        ckpt.tensors["panel"] = np.zeros((5, 99))
+        with pytest.raises(CheckpointError, match="shape mismatch for tensor "
+                                                  "panel") as info:
+            build_model(ckpt)
+        assert str(info.value).startswith(f"{saved}: ")
+
+    def test_optimizer_records(self, saved):
+        ckpt = load_checkpoint(saved)
+        params = build_model(ckpt).named_parameters()
+        ckpt.opt_v["panel"] = np.zeros((1, 2))
+        with pytest.raises(CheckpointError, match="tensor opt.v.panel") as info:
+            load_optimizer(ckpt, params)
+        assert str(info.value).startswith(f"{saved}: ")
+        ckpt.opt_m = ckpt.opt_v = None
+        with pytest.raises(CheckpointError,
+                           match="carries no optimizer state") as info:
+            load_optimizer(ckpt, params)
+        assert str(info.value).startswith(f"{saved}: ")
+
+    def test_encoder_transfer(self, tmp_path):
+        path = str(tmp_path / "enc.ckpt")
+        save_checkpoint(path, toy_model(seed=12, token_dim=32, heads=2))
+        with pytest.raises(CheckpointError, match="shape mismatch") as info:
+            load_encoder_weights(toy_model(seed=13), load_checkpoint(path))
+        assert str(info.value).startswith(f"{path}: ")
+
+
 class TestEncoderTransfer:
     def test_pretrained_encoder_loadable_into_other_variant(self, tmp_path):
         donor = toy_model(seed=10, variant="encoder_only")

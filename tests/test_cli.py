@@ -391,12 +391,51 @@ class TestInputsCheckedFirst:
         pytest.param(["protocol", "--manifest", "{data}", "--train-frac",
                       "1.5"], "train_frac must be in (0, 1)",
                      id="protocol-train-frac"),
+        pytest.param(["gen-data", "--levels", "7"],
+                     "'contrast_reduction' with levels = 7, hw = 16",
+                     id="gen-data-levels"),
+        pytest.param(["panel-sim", "--checkpoint", "{ckpt:encoder_only}",
+                      "--manifest", "{data}"],
+                     "variant 'encoder_only' has no quality embeddings",
+                     id="panel-sim-encoder-only"),
+        pytest.param(["attn-map", "--checkpoint", "{ckpt:panel_no_decoder}",
+                      "--image", "{image}"],
+                     "variant 'panel_no_decoder' has no decoder attention",
+                     id="attn-map-panel-no-decoder"),
+        pytest.param(["train", "--manifest", "{data8}"],
+                     "img00000.ppm: image 8x8 smaller than crop 12",
+                     id="train-small-images"),
+        pytest.param(["train", "--manifest", "{data}",
+                      "--test-manifest", "{data8}"],
+                     "img00000.ppm: image 8x8 smaller than crop 12",
+                     id="train-small-test-images"),
+        pytest.param(["eval", "--checkpoint", "{ckpt}",
+                      "--manifest", "{data8}"],
+                     "img00000.ppm: image 8x8 smaller than crop 12",
+                     id="eval-small-images"),
+        pytest.param(["protocol", "--manifest", "{data8}"],
+                     "img00000.ppm: image 8x8 smaller than crop 12",
+                     id="protocol-small-images"),
     ])
     def test_failure_leaves_no_output_directory(self, capsys, tmp_path,
                                                 toy_cfg_file, toy_dataset,
                                                 ckpt32, argv, message):
         names = {"{data}": toy_dataset, "{ckpt}": ckpt32,
-                 "{missing}": str(tmp_path / "nope")}
+                 "{missing}": str(tmp_path / "nope"),
+                 "{image}": os.path.join(os.path.dirname(toy_dataset),
+                                         "img00000.ppm")}
+        for a in argv:   # inputs only some cases read, built on demand
+            if a.startswith("{ckpt:"):
+                run = str(tmp_path / a[6:-1])
+                assert main(["train", "--config", toy_cfg_file, "--variant",
+                             a[6:-1], "--manifest", toy_dataset,
+                             "--out", run]) == 0
+                names[a] = os.path.join(run, "model.ckpt")
+            elif a == "{data8}":   # images smaller than the toy crop_hw
+                data8 = str(tmp_path / "data8")
+                assert main(["gen-data", "--config", toy_cfg_file,
+                             "--image-hw", "8", "--out", data8]) == 0
+                names[a] = os.path.join(data8, "manifest.csv")
         out = tmp_path / "o"
         capsys.readouterr()
         assert main([names.get(a, a) for a in argv]

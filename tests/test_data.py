@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from panelqa import data
-from panelqa.data import (DistortionSpec, Manifest, Sample, apply_distortion,
+from panelqa.data import (Manifest, Sample, apply_distortion,
                           gen_base_images, gen_synthetic_dataset, split)
 from panelqa.tensor import Rng
 
@@ -45,13 +45,12 @@ class TestDistortions:
 
     @pytest.mark.parametrize("kind", data.DISTORTION_KINDS)
     def test_level_zero_is_identity(self, img, kind):
-        out = apply_distortion(img, DistortionSpec(kind, 0), Rng(5))
+        out = apply_distortion(img, kind, 0, Rng(5))
         npt.assert_array_equal(out, img)
 
     def test_blur_contracts_variance(self, img):
         for level in (1, 2, 3, 4):
-            out = apply_distortion(img, DistortionSpec("gaussian_blur", level),
-                                   Rng(6))
+            out = apply_distortion(img, "gaussian_blur", level, Rng(6))
             assert out.var() <= img.var()
 
     def test_noise_strictly_increases_with_level(self, img):
@@ -59,19 +58,18 @@ class TestDistortions:
         for level in range(1, 5):
             deltas = []
             for seed in range(20):
-                out = apply_distortion(img, DistortionSpec("white_noise", level),
-                                       Rng(seed))
+                out = apply_distortion(img, "white_noise", level, Rng(seed))
                 deltas.append(np.abs(out - img).mean())
             means.append(np.mean(deltas))
         assert all(b > a for a, b in zip(means, means[1:]))
 
     def test_contrast_monotone(self, img):
-        spreads = [apply_distortion(img, DistortionSpec("contrast_reduction", l),
-                                    Rng(7)).std() for l in range(5)]
+        spreads = [apply_distortion(img, "contrast_reduction", l, Rng(7)).std()
+                   for l in range(5)]
         assert all(b < a for a, b in zip(spreads, spreads[1:]))
 
     def test_blockiness_coarsens(self, img):
-        out = apply_distortion(img, DistortionSpec("blockiness", 2), Rng(8))
+        out = apply_distortion(img, "blockiness", 2, Rng(8))
         # every 4x4 block is constant
         blocks = out[:, :48, :48].reshape(3, 12, 4, 12, 4)
         npt.assert_allclose(
@@ -80,10 +78,10 @@ class TestDistortions:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            DistortionSpec("sepia", 1)
+            apply_distortion(np.zeros((3, 4, 4)), "sepia", 1, Rng(0))
 
     def test_output_clamped(self, img):
-        out = apply_distortion(img, DistortionSpec("white_noise", 4), Rng(9))
+        out = apply_distortion(img, "white_noise", 4, Rng(9))
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
@@ -109,6 +107,45 @@ class TestSyntheticDataset:
     def test_levels_validated(self):
         with pytest.raises(ValueError):
             gen_synthetic_dataset(3, 1, ["white_noise"], Rng(13))
+
+
+class TestSchedule:
+    """The kinds, ``levels`` and ``hw`` are checked before any image is
+    drawn: a kind must be known, contrast may not invert the image and a
+    block may not exceed it."""
+
+    @pytest.fixture(autouse=True)
+    def no_drawing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an image was drawn before the check")
+        monkeypatch.setattr(data, "gen_base_images", refuse)
+
+    @pytest.mark.parametrize("levels,hw,kind,reason", [
+        (7, 32, "contrast_reduction", "invert"),
+        (6, 32, "contrast_reduction", "invert"),
+        (5, 6, "blockiness", "blocks exceed"),
+        (18, 32, "blockiness", "blocks exceed"),
+        (3, 32, "sepia", "unknown"),
+    ])
+    def test_rejected_naming_kind_levels_and_hw(self, levels, hw, kind, reason):
+        with pytest.raises(ValueError) as info:
+            gen_synthetic_dataset(2, levels, ["white_noise", kind], Rng(0), hw=hw)
+        message = str(info.value)
+        assert reason in message and repr(kind) in message
+        assert f"levels = {levels}" in message and f"hw = {hw}" in message
+
+    @pytest.mark.parametrize("levels,hw,kind", [
+        (5, 32, "contrast_reduction"), (5, 8, "blockiness"),
+        (17, 32, "blockiness"), (9, 32, "gaussian_blur"),
+        (9, 8, "white_noise")])
+    def test_limits_accepted(self, monkeypatch, levels, hw, kind):
+        monkeypatch.setattr(data, "gen_base_images",
+                            lambda count, hw, rng: [np.zeros((3, hw, hw))])
+        assert len(gen_synthetic_dataset(1, levels, [kind], Rng(0), hw=hw)) == levels
+
+    def test_unknown_kind_fails_at_level_zero(self):
+        with pytest.raises(ValueError, match="unknown distortion kind 'sepia'"):
+            apply_distortion(np.zeros((3, 4, 4)), "sepia", 0, Rng(0))
 
 
 class TestSplit:

@@ -218,3 +218,37 @@ class TestFit:
         assert len(lines) == len(log.records)
         assert lines[0].startswith("step=1 epoch=0 lr=")
         assert "cls_grad_var=" in lines[0]
+
+
+class TestNormalizeScores:
+    """``normalize_scores`` maps the manifest's scores onto [0, 1] by their
+    minimum and maximum, and keeps scores that are all equal."""
+
+    @staticmethod
+    def fit_with(scores, normalize):
+        base = tiny_manifest()
+        manifest = Manifest([Sample(s.image_ref, float(score), s.group_id)
+                             for s, score in zip(base, scores)])
+        cfg = TrainConfig(epochs=2, batch_size=4, crops_per_image=2, seed=8,
+                          normalize_scores=normalize)
+        model = toy_model(seed=8)
+        log = fit(model, manifest, cfg)
+        return log.losses(), model.named_parameters()
+
+    def assert_same_run(self, a, b):
+        npt.assert_array_equal(a[0], b[0])
+        for name, p in a[1].items():
+            npt.assert_array_equal(p.data, b[1][name].data)
+
+    def test_scores_mapped_onto_unit_interval(self):
+        scores = np.array([2.0, 6.25, 7.0, 3.5])
+        lo, hi = scores.min(), scores.max()
+        self.assert_same_run(self.fit_with(scores, True),
+                             self.fit_with((scores - lo) / (hi - lo), False))
+
+    def test_equal_scores_kept(self):
+        scores = np.full(4, 3.5)
+        normalized = self.fit_with(scores, True)
+        self.assert_same_run(normalized, self.fit_with(scores, False))
+        assert not np.array_equal(
+            normalized[0], self.fit_with(np.zeros(4), False)[0])
