@@ -231,15 +231,3 @@ def load_optimizer(ckpt: Checkpoint, params: dict[str, Tensor]) -> OptimizerStat
     return OptimizerState(m={k: ckpt.opt_m[k].copy() for k in params},
                           v={k: ckpt.opt_v[k].copy() for k in params},
                           step=ckpt.step)
-
-
-def load_encoder_weights(model: QualityTransformer, ckpt: Checkpoint) -> int:
-    """Copy matching encoder-schema tensors (embedding.* / enc_blocks.*) from
-    an external checkpoint into the model; returns how many were loaded."""
-    params = model.named_parameters()
-    found = {k: arr for k, arr in ckpt.tensors.items()
-             if k.startswith(("embedding.", "enc_blocks.")) and k in params}
-    _check_records(ckpt.path, found, {k: params[k] for k in found})
-    for name, arr in found.items():
-        params[name].data = arr.astype(params[name].data.dtype)
-    return len(found)

@@ -180,6 +180,14 @@ def atomic_write(path: str, mode: str = "w"):
         raise
 
 
+class Report:
+    """A text report; ``write`` puts each of its ``lines()`` on a line."""
+
+    def write(self, path: str) -> None:
+        with atomic_write(path) as fh:
+            fh.write("".join(line + "\n" for line in self.lines()))
+
+
 def write_ppm(path: str, image: np.ndarray) -> None:
     """Binary P6, 8-bit. Values in [0,1] map to 0..255."""
     c, h, w = image.shape

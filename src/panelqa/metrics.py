@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Manifest, atomic_write, load_image
+from .data import Manifest, Report, load_image
 from .model import QualityTransformer, forward_panel, predict
 from .tensor import Rng, Tensor, no_grad
 from .training import TrainLog, sample_crops
@@ -56,7 +56,7 @@ def srcc(pred: Sequence[float], label: Sequence[float]) -> float:
 
 
 @dataclass
-class EvalReport:
+class EvalReport(Report):
     srcc: float
     plcc: float
     predictions: np.ndarray
@@ -70,10 +70,6 @@ class EvalReport:
         return [f"n={self.n} srcc={self.srcc:.6f} plcc={self.plcc:.6f}"] + [
             f"pred={p:.9e} label={l:.9e}"
             for p, l in zip(self.predictions, self.labels)]
-
-    def write(self, path: str) -> None:
-        with atomic_write(path) as fh:
-            fh.write("\n".join(self.lines()) + "\n")
 
 
 def evaluate(model: QualityTransformer, manifest: Manifest,
@@ -98,7 +94,7 @@ def evaluate(model: QualityTransformer, manifest: Manifest,
 
 
 @dataclass
-class PanelDiagnostics:
+class PanelDiagnostics(Report):
     cosine: np.ndarray        # (L, L), averaged over images
     score_spread: np.ndarray  # per image, max - min panel score
 
@@ -114,10 +110,6 @@ class PanelDiagnostics:
             return 0.0
         mask = ~np.eye(L, dtype=bool)
         return float(self.cosine[mask].mean())
-
-    def write(self, path: str) -> None:
-        with atomic_write(path) as fh:
-            fh.write("\n".join(self.lines()) + "\n")
 
 
 def cosine_matrix(embeddings: np.ndarray) -> np.ndarray:

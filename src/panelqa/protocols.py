@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Manifest, atomic_write, split
+from .data import Manifest, Report, split
 from .encoder import VARIANTS, ModelConfig
 from .metrics import evaluate
 from .model import init_model
@@ -52,7 +52,7 @@ class Aggregate:
 
 
 @dataclass
-class ProtocolReport:
+class ProtocolReport(Report):
     mode: str
     results: list[RunResult] = field(default_factory=list)
     aggregates: list[Aggregate] = field(default_factory=list)
@@ -62,10 +62,6 @@ class ProtocolReport:
         out += [r.line() for r in self.results]
         out += [a.line() for a in self.aggregates]
         return out
-
-    def write(self, path: str) -> None:
-        with atomic_write(path) as fh:
-            fh.write("\n".join(self.lines()) + "\n")
 
 
 def derive_seed(seed: int, run: int) -> int:

@@ -217,8 +217,6 @@ class Tensor:
                             lambda g: (g.reshape(old),), "reshape")
 
     def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         inv = np.argsort(axes)
         return Tensor._make(np.ascontiguousarray(self.data.transpose(axes)),
                             (self,),
@@ -226,21 +224,20 @@ class Tensor:
 
     # -- reductions ----------------------------------------------------------
 
-    def sum(self, axis=None, keepdims=False) -> "Tensor":
-        out = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self, axis=None) -> "Tensor":
+        out = self.data.sum(axis=axis)
         src_shape = self.shape
 
         def vjp(g):
-            if axis is None:
-                return (np.broadcast_to(g, src_shape).copy(),)
-            g2 = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(g2, src_shape).copy(),)
+            if axis is not None:
+                g = np.expand_dims(g, axis)
+            return (np.broadcast_to(g, src_shape).copy(),)
 
         return Tensor._make(np.asarray(out), (self,), vjp, "sum")
 
-    def mean(self, axis=None, keepdims=False) -> "Tensor":
+    def mean(self, axis=None) -> "Tensor":
         n = self.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+        return self.sum(axis=axis) * (1.0 / n)
 
 
 # -- free-function primitives ------------------------------------------------

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Manifest, atomic_write, load_image
+from .data import Manifest, Report, load_image
 from .model import QualityTransformer, forward_scores
 from .tensor import NonFiniteError, Rng, Tensor
 
@@ -136,13 +136,11 @@ class StepRecord:
 
 
 @dataclass
-class TrainLog:
+class TrainLog(Report):
     records: list[StepRecord] = field(default_factory=list)
 
-    def write(self, path: str) -> None:
-        with atomic_write(path) as fh:
-            for r in self.records:
-                fh.write(r.line() + "\n")
+    def lines(self) -> list[str]:
+        return [r.line() for r in self.records]
 
     def losses(self) -> np.ndarray:
         return np.array([r.loss for r in self.records])

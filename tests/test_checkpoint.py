@@ -7,8 +7,8 @@ import pytest
 
 from conftest import toy_model
 from panelqa.checkpoint import (CheckpointError, build_model,
-                                load_checkpoint, load_encoder_weights,
-                                load_optimizer, save_checkpoint)
+                                load_checkpoint, load_optimizer,
+                                save_checkpoint)
 from panelqa.training import OptimizerState
 
 
@@ -418,31 +418,3 @@ class TestRecordErrorsNameTheFile:
                            match="carries no optimizer state") as info:
             load_optimizer(ckpt, params)
         assert str(info.value).startswith(f"{saved}: ")
-
-    def test_encoder_transfer(self, tmp_path):
-        path = str(tmp_path / "enc.ckpt")
-        save_checkpoint(path, toy_model(seed=12, token_dim=32, heads=2))
-        with pytest.raises(CheckpointError, match="shape mismatch") as info:
-            load_encoder_weights(toy_model(seed=13), load_checkpoint(path))
-        assert str(info.value).startswith(f"{path}: ")
-
-
-class TestEncoderTransfer:
-    def test_pretrained_encoder_loadable_into_other_variant(self, tmp_path):
-        donor = toy_model(seed=10, variant="encoder_only")
-        path = str(tmp_path / "enc.ckpt")
-        save_checkpoint(path, donor)
-        target = toy_model(seed=11)  # full variant, fresh decoder
-        n = load_encoder_weights(target, load_checkpoint(path))
-        assert n == len([k for k in donor.named_parameters()
-                         if k.startswith(("embedding.", "enc_blocks."))])
-        npt.assert_array_equal(target.embedding.cls_token.data,
-                               donor.embedding.cls_token.data)
-
-    def test_encoder_shape_mismatch_rejected(self, tmp_path):
-        donor = toy_model(seed=12, token_dim=32, heads=2)
-        path = str(tmp_path / "enc.ckpt")
-        save_checkpoint(path, donor)
-        target = toy_model(seed=13)
-        with pytest.raises(CheckpointError, match="shape mismatch"):
-            load_encoder_weights(target, load_checkpoint(path))
