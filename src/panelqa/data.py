@@ -119,6 +119,8 @@ def gen_synthetic_dataset(n_base: int, levels: int, kinds: Sequence[str],
     """Every base image x kind x level becomes one sample held in memory."""
     if levels < 2:
         raise ValueError("levels must be >= 2")
+    if not kinds:
+        raise ValueError("kinds is empty: name at least one distortion kind")
     for kind in kinds:  # no level may invert the image or outgrow it
         where = f"distortion kind {kind!r} with levels = {levels}, hw = {hw}"
         if kind not in DISTORTION_KINDS:
@@ -248,7 +250,8 @@ def write_manifest(path: str, manifest: Manifest) -> None:
 def read_manifest(path: str) -> Manifest:
     """Relative image paths resolve against the manifest's directory, and
     whitespace around a field is dropped. A bad row raises ValueError
-    starting with ``path:line:`` and naming the field."""
+    starting with ``path:line:`` and naming the field; a manifest without
+    rows raises one starting with ``path:``."""
     samples = []
     seen = set()
     base = os.path.dirname(os.path.abspath(path))
@@ -278,6 +281,8 @@ def read_manifest(path: str) -> Manifest:
                 samples.append(Sample(os.path.join(base, ref), value, group))
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
+    if not samples:
+        raise ValueError(f"{path}: manifest has no rows")
     return Manifest(samples)
 
 

@@ -122,6 +122,8 @@ def cosine_matrix(embeddings: np.ndarray) -> np.ndarray:
 
 def panel_cosine(model: QualityTransformer, manifest: Manifest) -> PanelDiagnostics:
     """Average pairwise cosine similarity of the panel quality embeddings."""
+    if len(manifest) == 0:
+        raise MetricError("panel_cosine needs a non-empty manifest")
     mats, spreads = [], []
     for sample in manifest.samples:
         img = load_image(sample)

@@ -416,6 +416,18 @@ class TestInputsCheckedFirst:
         pytest.param(["protocol", "--manifest", "{data8}"],
                      "img00000.ppm: image 8x8 smaller than crop 12",
                      id="protocol-small-images"),
+        pytest.param(["gen-data", "--kinds", ","], "kinds is empty",
+                     id="gen-data-no-kinds"),
+        pytest.param(["train", "--manifest", "{empty}"],
+                     "empty.csv: manifest has no rows", id="train-empty"),
+        pytest.param(["eval", "--checkpoint", "{ckpt}",
+                      "--manifest", "{empty}"],
+                     "empty.csv: manifest has no rows", id="eval-empty"),
+        pytest.param(["protocol", "--manifest", "{empty}"],
+                     "empty.csv: manifest has no rows", id="protocol-empty"),
+        pytest.param(["panel-sim", "--checkpoint", "{ckpt}",
+                      "--manifest", "{empty}"],
+                     "empty.csv: manifest has no rows", id="panel-sim-empty"),
     ])
     def test_failure_leaves_no_output_directory(self, capsys, tmp_path,
                                                 toy_cfg_file, toy_dataset,
@@ -436,6 +448,9 @@ class TestInputsCheckedFirst:
                 assert main(["gen-data", "--config", toy_cfg_file,
                              "--image-hw", "8", "--out", data8]) == 0
                 names[a] = os.path.join(data8, "manifest.csv")
+            elif a == "{empty}":   # a header and no rows
+                names[a] = str(tmp_path / "empty.csv")
+                (tmp_path / "empty.csv").write_text("path,score,group\n")
         out = tmp_path / "o"
         capsys.readouterr()
         assert main([names.get(a, a) for a in argv]

@@ -11,7 +11,10 @@ from hypothesis import given, settings, strategies as st
 from panelqa import data
 from panelqa.data import (Manifest, Sample, apply_distortion,
                           gen_base_images, gen_synthetic_dataset, split)
+from panelqa.metrics import EvalReport, PanelDiagnostics
+from panelqa.protocols import Aggregate, ProtocolReport, RunResult
 from panelqa.tensor import Rng
+from panelqa.training import StepRecord, TrainLog
 
 
 class TestBaseImages:
@@ -143,6 +146,10 @@ class TestSchedule:
                             lambda count, hw, rng: [np.zeros((3, hw, hw))])
         assert len(gen_synthetic_dataset(1, levels, [kind], Rng(0), hw=hw)) == levels
 
+    def test_empty_kinds_rejected(self):
+        with pytest.raises(ValueError, match="kinds is empty"):
+            gen_synthetic_dataset(2, 3, [], Rng(0), hw=32)
+
     def test_unknown_kind_fails_at_level_zero(self):
         with pytest.raises(ValueError, match="unknown distortion kind 'sepia'"):
             apply_distortion(np.zeros((3, 4, 4)), "sepia", 0, Rng(0))
@@ -265,6 +272,14 @@ class TestFileIO:
         assert m.samples[0].image_ref == str(tmp_path / "a.ppm")
         assert m.samples[0].score == 1.0
 
+    @pytest.mark.parametrize("body", ["", "\n \n"], ids=["header", "blank"])
+    def test_manifest_without_rows_rejected(self, tmp_path, body):
+        p = tmp_path / "m.csv"
+        p.write_text("path,score,group\n" + body)
+        with pytest.raises(ValueError) as info:
+            data.read_manifest(str(p))
+        assert str(info.value) == f"{p}: manifest has no rows"
+
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("file,mos\n")
@@ -285,6 +300,36 @@ class TestFileIO:
         with pytest.raises(ValueError) as info:
             data.read_manifest(str(p))
         assert str(info.value) == f"{tmp_path}/{message}"
+
+
+STEPS = [StepRecord(1, 0, 2e-4, 0.5, 1.25),
+         StepRecord(2, 0, 2e-4, 0.25, 0.75, cls_grad=np.array([1.0, -2.0]))]
+REPORTS = {   # a small instance of each report and the lines its file holds
+    "eval": EvalReport(0.5, -0.25, np.array([0.1, 0.7]), np.array([0.0, 1.0])),
+    "panel": PanelDiagnostics(np.array([[1.0, 0.3], [0.3, 1.0]]),
+                              np.array([0.125, 0.5])),
+    "protocol": ProtocolReport(
+        "repeats", [RunResult("", 0, 7, 0.5, 0.4)],
+        [Aggregate("", 0.5, 0.4, 0.0, 0.0, 1)]),
+    "train": TrainLog(STEPS),
+    "train-empty": TrainLog(),
+}
+
+
+class TestReportWrite:
+    """Every report file holds the report's lines, each ended by a newline;
+    a training log without steps is an empty file."""
+
+    @pytest.mark.parametrize("name", REPORTS)
+    def test_file_holds_each_line(self, tmp_path, name):
+        report = REPORTS[name]
+        lines = ([r.line() for r in report.records]
+                 if isinstance(report, TrainLog) else report.lines())
+        path = tmp_path / "report.txt"
+        report.write(str(path))
+        assert path.read_bytes() == "".join(
+            line + "\n" for line in lines).encode()
+        assert os.listdir(tmp_path) == ["report.txt"]
 
 
 class TestAtomicWrite:

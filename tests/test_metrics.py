@@ -191,6 +191,10 @@ class TestPanelCosine:
         with pytest.raises(MetricError):
             cosine_matrix(np.zeros((3, 4)))
 
+    def test_empty_manifest_is_error(self):
+        with pytest.raises(MetricError, match="non-empty manifest"):
+            panel_cosine(toy_model(seed=10), Manifest([]))
+
     def test_variant_without_embeddings_is_error(self):
         model = toy_model(seed=10, variant="encoder_only")
         with pytest.raises(MetricError):
