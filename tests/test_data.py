@@ -304,7 +304,7 @@ class TestFileIO:
 
 STEPS = [StepRecord(1, 0, 2e-4, 0.5, 1.25),
          StepRecord(2, 0, 2e-4, 0.25, 0.75, cls_grad=np.array([1.0, -2.0]))]
-REPORTS = {   # a small instance of each report and the lines its file holds
+REPORTS = {   # a small instance of each report
     "eval": EvalReport(0.5, -0.25, np.array([0.1, 0.7]), np.array([0.0, 1.0])),
     "panel": PanelDiagnostics(np.array([[1.0, 0.3], [0.3, 1.0]]),
                               np.array([0.125, 0.5])),
@@ -323,7 +323,7 @@ class TestReportWrite:
     @pytest.mark.parametrize("name", REPORTS)
     def test_file_holds_each_line(self, tmp_path, name):
         report = REPORTS[name]
-        lines = ([r.line() for r in report.records]
+        lines = ([r.line() for r in report.records]   # one per step
                  if isinstance(report, TrainLog) else report.lines())
         path = tmp_path / "report.txt"
         report.write(str(path))

@@ -73,11 +73,14 @@ def commands(tmp: str) -> list[list[str]]:
     cfg = os.path.join(tmp, "toy.cfg")
     with open(cfg, "w", encoding="utf-8") as fh:
         fh.write(TOY_CFG)
-    out = lambda name: ["--config", cfg, "--out", os.path.join(tmp, name)]
+    from panelqa.cli import PROTOCOLS
+    from panelqa.encoder import VARIANTS
+
+    def out(name: str) -> list[str]:
+        return ["--config", cfg, "--out", os.path.join(tmp, name)]
+
     data = os.path.join(tmp, "data", "manifest.csv")
     ckpt = os.path.join(tmp, "run", "model.ckpt")
-    from panelqa import cli
-    from panelqa.encoder import VARIANTS
     runs = [["gen-data", *out("data")],
             ["train", "--manifest", data, "--test-manifest", data, *out("run")],
             ["train", "--manifest", data, "--resume", ckpt, *out("resumed")],
@@ -94,11 +97,13 @@ def commands(tmp: str) -> list[list[str]]:
     runs += [["train", "--manifest", data, "--variant", v, *out(f"run-{v}")]
              for v in VARIANTS if v != "full"]
     runs += [["protocol", "--manifest", data, "--mode", mode,
-              *out(f"protocol-{mode}")] for mode in cli.PROTOCOLS]
+              *out(f"protocol-{mode}")] for mode in PROTOCOLS]
     return runs
 
 
 def sweep(tmp: str) -> None:
+    """Imports the package under the tracer, so that its module-level
+    statements count, then runs every command and workload."""
     from panelqa import cli
     import tracing
     import workloads
