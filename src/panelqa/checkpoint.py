@@ -47,6 +47,10 @@ class Checkpoint:
     opt_m: Optional[dict[str, np.ndarray]] = None
     opt_v: Optional[dict[str, np.ndarray]] = None
 
+    @property
+    def dtype(self) -> np.dtype:   # of its tensors; float64 if it has none
+        return next((t.dtype for t in self.tensors.values()), np.dtype("f8"))
+
 
 def _read_config(path: str, raw: bytes) -> ModelConfig:
     """The header's model config; every key must be present."""
@@ -213,12 +217,11 @@ def _check_records(path: str, stored: dict[str, np.ndarray],
 
 def build_model(ckpt: Checkpoint) -> QualityTransformer:
     """Reconstruct the model from a checkpoint, in the dtype of its tensors."""
-    dtype = next(iter(ckpt.tensors.values())).dtype if ckpt.tensors else np.float64
-    model = init_model(ckpt.config, Rng(0), dtype=dtype)
+    model = init_model(ckpt.config, Rng(0), dtype=ckpt.dtype)
     params = model.named_parameters()
     _check_records(ckpt.path, ckpt.tensors, params)
     for name, p in params.items():
-        p.data = ckpt.tensors[name].astype(dtype)
+        p.data = ckpt.tensors[name].astype(ckpt.dtype)
     return model
 
 

@@ -3,17 +3,18 @@ gradient checking, and diagnostics.
 
 Configuration is plain ``key = value`` text with ``#`` comments, read by
 ``panelqa.config``; command-line flags override file values, and the effective
-configuration is echoed into every output directory. Commands that read a
-checkpoint take its model keys and precision, and reject a differing one set in
-the file or by a flag. Unknown keys, invalid values and unreadable inputs are
-rejected before any computation and before the output directory is made.
+configuration is echoed into every output directory. A command that reads a
+checkpoint loads it first: its model keys and precision are the base values,
+and a differing one set in the file or by a flag is rejected. Unknown keys,
+invalid values and unreadable inputs are rejected before any computation and
+before the output directory is made.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,16 +28,6 @@ from .model import forward_scores, init_model
 from .plots import svg_heatmap, svg_line, svg_scatter
 from .tensor import Rng, Tensor, grad_check
 from .training import OptimizerState, TrainConfig, fit, smooth_l1
-
-# protocol mode -> function, and the RunConfig keys it takes besides
-# repeats and eval_crops
-PROTOCOLS = {
-    "repeats": (proto.protocol_repeats, ("train_frac",)),
-    "data-efficiency": (proto.protocol_data_efficiency, ()),
-    "depth-ablation": (proto.protocol_depth_ablation, ()),
-    "component-ablation": (proto.protocol_component_ablation, ()),
-}
-
 
 @dataclass
 class RunConfig:
@@ -58,7 +49,7 @@ class RunConfig:
     train_frac: float = 0.8
 
     def __post_init__(self):
-        if self.mode not in PROTOCOLS:
+        if self.mode not in proto.PROTOCOLS:
             raise ValueError(f"unknown protocol mode {self.mode!r}")
         for name in ("eval_crops", "repeats"):
             if getattr(self, name) < 1:
@@ -78,37 +69,23 @@ def parse_config_file(path: str) -> dict:
         return parse(fh.read(), SCHEMA, path)
 
 
-def _set_values(args: argparse.Namespace) -> dict:
-    """Values of the keys set in ``--config`` or by a flag; flags win."""
+def build_run_config(args: argparse.Namespace, ckpt=None) -> RunConfig:
+    """The keys set in ``--config``, flags winning, over the model keys and
+    precision of ``ckpt``; a set value must match the checkpoint's."""
     values = parse_config_file(args.config) if args.config else {}
     for name, kind in SCHEMA.items():
         override = getattr(args, name)
         if override is not None:
             values[name] = convert(name, kind, override)
-    return values
-
-
-def build_run_config(args: argparse.Namespace) -> RunConfig:
-    values = _set_values(args)
+    if ckpt is not None:
+        stored = {k: getattr(ckpt.config, k) for k in keys(ModelConfig)}
+        stored["precision"] = 8 * ckpt.dtype.itemsize
+        for name, value in stored.items():
+            if values.setdefault(name, value) != value:
+                raise ConfigError(f"{name} = {values[name]} does not match "
+                                  f"{name} = {value} of {ckpt.path}")
     return build(RunConfig, values, model=build(ModelConfig, values),
                  train=build(TrainConfig, values))
-
-
-def _checkpoint_model(cfg: RunConfig, args, path: str):
-    """The checkpoint at ``path``, its model, and ``cfg`` with the model's keys
-    and precision. A model key or ``precision`` set in ``--config`` or by a
-    flag must match the checkpoint's."""
-    ckpt = load_checkpoint(path)
-    model = build_model(ckpt)
-    stored = {k: getattr(model.config, k) for k in keys(ModelConfig)}
-    stored["precision"] = 8 * model.dtype.itemsize
-    values = _set_values(args)
-    for name, value in stored.items():
-        if name in values and values[name] != value:
-            raise ConfigError(f"{name} = {values[name]} does not match "
-                              f"{name} = {value} of {path}")
-    train = replace(cfg.train, precision=stored["precision"])
-    return ckpt, model, replace(cfg, model=model.config, train=train)
 
 
 def _check_crop_fits(hw: int, *manifests) -> None:
@@ -140,17 +117,20 @@ def cmd_gen_data(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_train(cfg: RunConfig, args) -> int:
+def cmd_train(cfg: RunConfig, args, ckpt=None, model=None) -> int:
     manifest = dat.read_manifest(args.manifest)
     test_manifest = (dat.read_manifest(args.test_manifest)
                      if args.test_manifest else None)
-    if args.resume:
-        ckpt, model, cfg = _checkpoint_model(cfg, args, args.resume)
-        state = load_optimizer(ckpt, model.named_parameters())
-    else:
+    for path, data in ((args.manifest, manifest),
+                       (args.test_manifest, test_manifest)):
+        if data is not None and len(data) < 2:
+            raise ValueError(f"{path}: evaluate needs a manifest with n >= 2")
+    if ckpt is None:
         model = init_model(cfg.model, Rng(("model", cfg.train.seed)),
                            dtype=cfg.train.dtype)
         state = OptimizerState.init(model.named_parameters())
+    else:
+        state = load_optimizer(ckpt, model.named_parameters())
     _check_crop_fits(cfg.model.crop_hw, manifest, test_manifest)
     out = _prepare_out(cfg, args.out)
     log = fit(model, manifest, cfg.train, state=state)
@@ -165,9 +145,8 @@ def cmd_train(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_eval(cfg: RunConfig, args) -> int:
+def cmd_eval(cfg: RunConfig, args, ckpt, model) -> int:
     manifest = dat.read_manifest(args.manifest)
-    _, model, cfg = _checkpoint_model(cfg, args, args.checkpoint)
     _check_crop_fits(cfg.model.crop_hw, manifest)
     report = evaluate(model, manifest, crops_per_image=cfg.eval_crops,
                       seed=cfg.train.seed)
@@ -182,11 +161,10 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 def cmd_protocol(cfg: RunConfig, args) -> int:
     manifest = dat.read_manifest(args.manifest)
     _check_crop_fits(cfg.model.crop_hw, manifest)
-    out = _prepare_out(cfg, args.out)
-    run, extra = PROTOCOLS[cfg.mode]
-    report = run(manifest, cfg.model, cfg.train,
-                 **{k: getattr(cfg, k) for k in ("repeats", "eval_crops", *extra)})
-    report.write(os.path.join(out, "protocol.txt"))
+    report = proto.PROTOCOLS[cfg.mode](
+        manifest, cfg.model, cfg.train, repeats=cfg.repeats,
+        eval_crops=cfg.eval_crops, train_frac=cfg.train_frac)
+    report.write(os.path.join(_prepare_out(cfg, args.out), "protocol.txt"))
     for line in report.lines():
         print(line)
     return 0
@@ -209,9 +187,8 @@ def cmd_gradcheck(cfg: RunConfig, args) -> int:
     return 0 if err <= args.tolerance else 1
 
 
-def cmd_panel_sim(cfg: RunConfig, args) -> int:
+def cmd_panel_sim(cfg: RunConfig, args, ckpt, model) -> int:
     manifest = dat.read_manifest(args.manifest)
-    _, model, cfg = _checkpoint_model(cfg, args, args.checkpoint)
     diag = panel_cosine(model, manifest)
     out = _prepare_out(cfg, args.out)
     diag.write(os.path.join(out, "panel.txt"))
@@ -222,9 +199,8 @@ def cmd_panel_sim(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_attn_map(cfg: RunConfig, args) -> int:
+def cmd_attn_map(cfg: RunConfig, args, ckpt, model) -> int:
     image = dat.read_image(args.image)
-    _, model, cfg = _checkpoint_model(cfg, args, args.checkpoint)
     amap = attention_map(model, Tensor(center_crop(image, model.config.crop_hw)))
     out = _prepare_out(cfg, args.out)
     svg_heatmap(os.path.join(out, "attn.svg"), amap, title="quality attention")
@@ -237,23 +213,24 @@ def cmd_attn_map(cfg: RunConfig, args) -> int:
 
 _REQUIRED = {"required": True}
 
-# subcommand -> help text and its command-only flags; `main` runs the
-# module's cmd_<subcommand>, dashes read as underscores
+# subcommand -> help text, the flag naming the checkpoint it reads (if any)
+# and its command-only flags. `main` loads that checkpoint and its model and
+# hands both to the module's cmd_<subcommand>, dashes read as underscores
 COMMANDS = {
-    "gen-data": ("generate a synthetic labeled corpus", {}),
-    "train": ("fine-tune a model on a manifest",
+    "gen-data": ("generate a synthetic labeled corpus", None, {}),
+    "train": ("fine-tune a model on a manifest", "resume",
               {"--manifest": _REQUIRED, "--test-manifest": {},
                "--resume": {"help": "checkpoint to continue from"}}),
-    "eval": ("evaluate a checkpoint on a manifest",
+    "eval": ("evaluate a checkpoint on a manifest", "checkpoint",
              {"--checkpoint": _REQUIRED, "--manifest": _REQUIRED}),
-    "protocol": ("repeat/ablation experiment protocols",
+    "protocol": ("repeat/ablation experiment protocols", None,
                  {"--manifest": _REQUIRED}),
-    "gradcheck": ("finite-difference check of all gradients",
+    "gradcheck": ("finite-difference check of all gradients", None,
                   {"--eps": {"type": float, "default": 1e-4},
                    "--tolerance": {"type": float, "default": 1e-4}}),
-    "panel-sim": ("panel cosine-similarity diagnostics",
+    "panel-sim": ("panel cosine-similarity diagnostics", "checkpoint",
                   {"--checkpoint": _REQUIRED, "--manifest": _REQUIRED}),
-    "attn-map": ("decoder attention heat map for one image",
+    "attn-map": ("decoder attention heat map for one image", "checkpoint",
                  {"--checkpoint": _REQUIRED, "--image": _REQUIRED}),
 }
 
@@ -264,7 +241,7 @@ def make_parser() -> argparse.ArgumentParser:
         description="Blind image quality assessment with an attention-panel "
                     "transformer")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags) in COMMANDS.items():
+    for command, (help_text, _, flags) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="key = value configuration file")
         p.add_argument("--out", default="out", help="output directory")
@@ -279,10 +256,13 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        cfg = build_run_config(args)
+        path = vars(args).get(COMMANDS[args.command][1])
+        ckpt = load_checkpoint(path) if path else None
+        loaded = (ckpt, build_model(ckpt)) if ckpt else ()
+        cfg = build_run_config(args, ckpt)
         # looked up at call time, so a wrapper installed on the module runs
         handler = globals()["cmd_" + args.command.replace("-", "_")]
-        return handler(cfg, args)
+        return handler(cfg, args, *loaded)
     except Exception as exc:  # single-line machine-parsable failure
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -101,8 +101,7 @@ def _aggregate(label: str, rows: list[RunResult]) -> Aggregate:
 
 
 def _sweep(mode: str, manifest: Manifest, train_cfg: TrainConfig, settings,
-           repeats: int, eval_crops: int, train_frac: float = 0.8
-           ) -> ProtocolReport:
+           repeats: int, eval_crops: int, train_frac: float) -> ProtocolReport:
     """``repeats`` runs of each (label, seed offset, model config, train-group
     fraction) setting; run r of a setting draws the seed of ``offset + r``."""
     report = ProtocolReport(mode)
@@ -130,31 +129,44 @@ def protocol_repeats(manifest: Manifest, model_cfg: ModelConfig,
 def protocol_data_efficiency(manifest: Manifest, model_cfg: ModelConfig,
                              train_cfg: TrainConfig, repeats: int = 3,
                              fractions=DATA_EFFICIENCY_FRACTIONS,
-                             eval_crops: int = 1) -> ProtocolReport:
-    """Sweep the training fraction with a fixed 20% held-out test side."""
+                             eval_crops: int = 1, train_frac: float = 0.8
+                             ) -> ProtocolReport:
+    """Sweep the training fraction with a fixed ``1 - train_frac`` held-out
+    test side; a fraction above ``train_frac`` is rejected before any run."""
+    if max(fractions, default=0) > train_frac:
+        raise ValueError(f"data-efficiency fraction {max(fractions)} exceeds "
+                         f"train_frac {train_frac}")
     settings = [(f"frac={f:.2f}", 1000 * int(f * 100), model_cfg, f)
                 for f in fractions]
     return _sweep("data-efficiency", manifest, train_cfg, settings, repeats,
-                  eval_crops)
+                  eval_crops, train_frac)
 
 
 def protocol_depth_ablation(manifest: Manifest, model_cfg: ModelConfig,
                             train_cfg: TrainConfig, repeats: int = 3,
-                            depths=DEPTH_ABLATION_DEPTHS,
-                            eval_crops: int = 1) -> ProtocolReport:
+                            depths=DEPTH_ABLATION_DEPTHS, eval_crops: int = 1,
+                            train_frac: float = 0.8) -> ProtocolReport:
     settings = [(f"depth={d}", 2000 * d,
                  dataclasses.replace(model_cfg, decoder_depth=d), None)
                 for d in depths]
     return _sweep("depth-ablation", manifest, train_cfg, settings, repeats,
-                  eval_crops)
+                  eval_crops, train_frac)
 
 
 def protocol_component_ablation(manifest: Manifest, model_cfg: ModelConfig,
                                 train_cfg: TrainConfig, repeats: int = 3,
                                 variants=COMPONENT_VARIANTS,
-                                eval_crops: int = 1) -> ProtocolReport:
+                                eval_crops: int = 1, train_frac: float = 0.8
+                                ) -> ProtocolReport:
     settings = [(f"variant={v}", 3000 * (i + 1),
                  dataclasses.replace(model_cfg, variant=v), None)
                 for i, v in enumerate(variants)]
     return _sweep("component-ablation", manifest, train_cfg, settings,
-                  repeats, eval_crops)
+                  repeats, eval_crops, train_frac)
+
+
+# protocol mode -> function; each takes repeats, eval_crops and train_frac
+PROTOCOLS = {"repeats": protocol_repeats,
+             "data-efficiency": protocol_data_efficiency,
+             "depth-ablation": protocol_depth_ablation,
+             "component-ablation": protocol_component_ablation}

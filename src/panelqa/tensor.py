@@ -102,11 +102,10 @@ class Tensor:
         self.grad = None
 
     def backward(self):
-        """Populate .grad of every requires_grad tensor reachable from self.
-
-        Only valid on a scalar (single-element) tensor. The recorded tape is
-        released afterwards so tensors can be reused.
-        """
+        """Add d(self)/d(leaf) to .grad of every requires_grad leaf (a tensor
+        no op made) reachable from self; intermediate gradients are freed once
+        their vjp has run. Only valid on a scalar (single-element) tensor. The
+        recorded tape is released afterwards so tensors can be reused."""
         if self.size != 1:
             raise GradError(
                 f"backward requires a scalar loss, got shape {self.shape}")
@@ -130,9 +129,9 @@ class Tensor:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad:
-                node.grad = g if node.grad is None else node.grad + g
             if node._vjp is None:
+                if node.requires_grad:
+                    node.grad = g if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._vjp(g)):
                 if pg is None or not parent.requires_grad:

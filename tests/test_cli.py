@@ -271,6 +271,20 @@ class TestProtocolCommand:
         assert text.startswith("protocol=repeats")
         assert "median_srcc=" in text
 
+    @pytest.mark.parametrize("mode", ["depth-ablation", "component-ablation"])
+    def test_ablations_split_at_the_echoed_train_frac(self, tmp_path, mode,
+                                                      toy_cfg_file,
+                                                      toy_dataset):
+        texts = {}
+        for frac in ("0.5", "0.8"):
+            out = tmp_path / frac
+            assert main(["protocol", "--config", toy_cfg_file, "--manifest",
+                         toy_dataset, "--mode", mode, "--repeats", "1",
+                         "--train-frac", frac, "--out", str(out)]) == 0
+            assert f"train_frac = {frac}\n" in (out / "config.txt").read_text()
+            texts[frac] = (out / "protocol.txt").read_text()
+        assert texts["0.5"] != texts["0.8"]
+
 
 class TestDiagnosticsCommands:
     def test_gradcheck_passes_on_toy_model(self, toy_cfg_file, capsys):
@@ -381,6 +395,10 @@ class TestInputsCheckedFirst:
                       "--precision", "64"],
                      "precision = 64 does not match precision = 32",
                      id="eval-precision"),
+        pytest.param(["eval", "--checkpoint", "{ckpt}", "--manifest", "{data}",
+                      "--heads", "5"],
+                     "heads = 5 does not match heads = 2 of {ckpt}",
+                     id="eval-heads"),
         pytest.param(["train", "--manifest", "{data}", "--eval-crops", "0"],
                      "eval_crops must be positive", id="train-eval-crops"),
         pytest.param(["eval", "--checkpoint", "{ckpt}", "--manifest", "{data}",
@@ -428,6 +446,20 @@ class TestInputsCheckedFirst:
         pytest.param(["panel-sim", "--checkpoint", "{ckpt}",
                       "--manifest", "{empty}"],
                      "empty.csv: manifest has no rows", id="panel-sim-empty"),
+        pytest.param(["protocol", "--manifest", "{rows:2}"],
+                     "need at least 2 groups to split",
+                     id="protocol-one-group"),
+        pytest.param(["train", "--manifest", "{rows:1}"],
+                     "rows1.csv: evaluate needs a manifest with n >= 2",
+                     id="train-one-row"),
+        pytest.param(["train", "--manifest", "{data}",
+                      "--test-manifest", "{rows:1}"],
+                     "rows1.csv: evaluate needs a manifest with n >= 2",
+                     id="train-one-row-test"),
+        pytest.param(["protocol", "--manifest", "{data}", "--mode",
+                      "data-efficiency", "--train-frac", "0.5"],
+                     "fraction 0.6 exceeds train_frac 0.5",
+                     id="protocol-fraction-above-train-frac"),
     ])
     def test_failure_leaves_no_output_directory(self, capsys, tmp_path,
                                                 toy_cfg_file, toy_dataset,
@@ -451,13 +483,21 @@ class TestInputsCheckedFirst:
             elif a == "{empty}":   # a header and no rows
                 names[a] = str(tmp_path / "empty.csv")
                 (tmp_path / "empty.csv").write_text("path,score,group\n")
+            elif a.startswith("{rows:"):   # the first rows, all of one group
+                n = int(a[6:-1])
+                with open(toy_dataset) as fh:
+                    head = fh.readlines()[:n + 1]
+                names[a] = os.path.join(os.path.dirname(toy_dataset),
+                                        f"rows{n}.csv")
+                with open(names[a], "w") as fh:
+                    fh.writelines(head)
         out = tmp_path / "o"
         capsys.readouterr()
         assert main([names.get(a, a) for a in argv]
                     + ["--config", toy_cfg_file, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert message in err
+        assert message.replace("{ckpt}", ckpt32) in err
         assert not out.exists()
 
     def test_resume_float32_without_config_or_precision(self, tmp_path,

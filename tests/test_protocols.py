@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,48 @@ class TestComponentAblation:
             man, mc, tc, repeats=1, variants=("encoder_only", "full"))
         assert [a.label for a in rep.aggregates] == [
             "variant=encoder_only", "variant=full"]
+
+
+class TestTrainFrac:
+    """Every mode splits at the ``train_frac`` it is given."""
+
+    @pytest.mark.parametrize("run,grid,key", [
+        (proto.protocol_depth_ablation, "depths", "decoder_depth"),
+        (proto.protocol_component_ablation, "variants", "variant"),
+    ])
+    def test_ablation_runs_split_at_train_frac(self, run, grid, key):
+        man = tiny_corpus()
+        mc, tc = fast_cfgs()
+        value = 2 if key == "decoder_depth" else "encoder_only"
+        rep = run(man, mc, tc, repeats=2, train_frac=0.5, **{grid: (value,)})
+        assert len(rep.results) == 2
+        for r in rep.results:
+            want = proto.run_split_train_eval(
+                man, dataclasses.replace(mc, **{key: value}), tc, r.seed,
+                train_frac=0.5)
+            assert (r.srcc, r.plcc) == want
+
+    def test_data_efficiency_holds_out_one_minus_train_frac(self):
+        man = tiny_corpus(bases=10)
+        mc, tc = fast_cfgs()
+        rep = proto.protocol_data_efficiency(man, mc, tc, repeats=1,
+                                             fractions=(0.4,), train_frac=0.5)
+        (r,) = rep.results
+        assert (r.srcc, r.plcc) == proto.run_split_train_eval(
+            man, mc, tc, r.seed, train_frac=0.5, train_groups=0.4)
+
+    def test_fraction_above_train_frac_rejected_before_any_run(
+            self, monkeypatch):
+        def fit(*args, **kwargs):
+            raise AssertionError("fit was called")
+
+        monkeypatch.setattr(proto, "fit", fit)
+        mc, tc = fast_cfgs()
+        with pytest.raises(ValueError, match="data-efficiency fraction 0.6 "
+                                             "exceeds train_frac 0.5"):
+            proto.protocol_data_efficiency(tiny_corpus(), mc, tc, repeats=1,
+                                           fractions=(0.2, 0.6),
+                                           train_frac=0.5)
 
 
 class TestReportSerialization:

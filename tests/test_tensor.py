@@ -246,6 +246,15 @@ class TestBackward:
         (x * x + x).sum().backward()
         npt.assert_allclose(x.grad, [5.0])
 
+    def test_only_leaves_keep_a_gradient(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        w = Tensor([3.0, 0.5], requires_grad=True)
+        h = x * w
+        (h * h).sum().backward()
+        assert h.grad is None
+        npt.assert_array_equal(x.grad, [18.0, -1.0])   # 2 x w^2
+        npt.assert_array_equal(w.grad, [6.0, 4.0])     # 2 w x^2
+
     def test_slice_backward(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         x[:, 1:].sum().backward()

@@ -73,7 +73,7 @@ def commands(tmp: str) -> list[list[str]]:
     cfg = os.path.join(tmp, "toy.cfg")
     with open(cfg, "w", encoding="utf-8") as fh:
         fh.write(TOY_CFG)
-    from panelqa.cli import PROTOCOLS
+    from panelqa.protocols import PROTOCOLS
     from panelqa.encoder import VARIANTS
 
     def out(name: str) -> list[str]:
