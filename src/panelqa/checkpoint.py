@@ -25,7 +25,7 @@ from .config import keys, parse, write
 from .data import atomic_write
 from .encoder import ModelConfig
 from .model import QualityTransformer, init_model
-from .tensor import Rng, Tensor
+from .tensor import Tensor
 from .training import OptimizerState
 
 MAGIC = b"DEIQ"
@@ -215,9 +215,14 @@ def _check_records(path: str, stored: dict[str, np.ndarray],
                 f"{stored[name].shape} vs model {p.shape}")
 
 
+class _NoDraws:
+    """``build_model``'s Rng: the checkpoint overwrites every draw."""
+    trunc_normal = staticmethod(lambda shape, std: np.zeros(shape))
+
+
 def build_model(ckpt: Checkpoint) -> QualityTransformer:
     """Reconstruct the model from a checkpoint, in the dtype of its tensors."""
-    model = init_model(ckpt.config, Rng(0), dtype=ckpt.dtype)
+    model = init_model(ckpt.config, _NoDraws(), dtype=ckpt.dtype)
     params = model.named_parameters()
     _check_records(ckpt.path, ckpt.tensors, params)
     for name, p in params.items():

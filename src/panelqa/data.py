@@ -92,7 +92,8 @@ def gen_base_images(count: int, hw: int, rng: Rng) -> list[np.ndarray]:
 def apply_distortion(image: np.ndarray, kind: str, level: int,
                      rng: Rng) -> np.ndarray:
     """Degrade an image; level 0 is exactly the identity, higher levels are
-    strictly stronger. Output clamped to [0, 1]."""
+    strictly stronger. Blockiness sets every 2*level block of the image,
+    edge-padded to whole blocks, to its mean. Output clamped to [0, 1]."""
     if kind not in DISTORTION_KINDS:
         raise ValueError(f"unknown distortion kind {kind!r}")
     if level == 0:
@@ -106,11 +107,10 @@ def apply_distortion(image: np.ndarray, kind: str, level: int,
     else:  # blockiness
         b = 2 * level  # block edge in pixels
         c, h, w = image.shape
-        hb, wb = (h // b) * b, (w // b) * b
-        out = image.copy()
-        blocks = image[:, :hb, :wb].reshape(c, hb // b, b, wb // b, b)
+        pad = np.pad(image, ((0, 0), (0, -h % b), (0, -w % b)), mode="edge")
+        blocks = pad.reshape(c, pad.shape[1] // b, b, -1, b)
         means = blocks.mean(axis=(2, 4), keepdims=True)
-        out[:, :hb, :wb] = np.broadcast_to(means, blocks.shape).reshape(c, hb, wb)
+        out = np.broadcast_to(means, blocks.shape).reshape(pad.shape)[:, :h, :w]
     return np.clip(out, 0.0, 1.0)
 
 

@@ -97,24 +97,26 @@ class OptimizerState:
 
 
 def optimizer_step(params: dict[str, Tensor], state: OptimizerState,
-                   lr: float, weight_decay: float) -> None:
+                   lr: float, weight_decay: float) -> float:
     """AdamW update (Loshchilov & Hutter, arXiv:1711.05101) with the
-    recipe's fixed moments and epsilon; clears gradients."""
+    recipe's fixed moments and epsilon; clears the gradients and returns
+    their L2 norm, a missing gradient counting as zeros."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.step += 1
-    t = state.step
+    total = 0.0
     for name, p in params.items():
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        elif not np.all(np.isfinite(g)):
+        g = np.zeros_like(p.data) if p.grad is None else p.grad
+        sq = float((g ** 2).sum())
+        if not np.isfinite(sq) and not np.isfinite(g).all():
             raise NonFiniteError(f"non-finite gradient for parameter {name}")
+        total += sq
         state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
         state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
-        mhat = state.m[name] / (1 - beta1 ** t)
-        vhat = state.v[name] / (1 - beta2 ** t)
+        mhat = state.m[name] / (1 - beta1 ** state.step)
+        vhat = state.v[name] / (1 - beta2 ** state.step)
         p.data -= lr * (mhat / (np.sqrt(vhat) + eps) + weight_decay * p.data)
         p.zero_grad()
+    return float(np.sqrt(total))
 
 
 @dataclass
@@ -176,7 +178,6 @@ def fit(model: QualityTransformer, manifest: Manifest, cfg: TrainConfig,
                         cfg.crops_per_image).astype(model.dtype)
     hw = model.config.crop_hw
     log = TrainLog()
-    step = state.step
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
         crop_rng = Rng(("crops", cfg.seed, epoch))
@@ -192,18 +193,14 @@ def fit(model: QualityTransformer, manifest: Manifest, cfg: TrainConfig,
             loss_val = loss.item()
             if not np.isfinite(loss_val):
                 raise NonFiniteError(
-                    f"non-finite loss at step {step} (epoch {epoch}); "
+                    f"non-finite loss at step {state.step} (epoch {epoch}); "
                     f"aborting training")
             loss.backward()
-            grad_norm = float(np.sqrt(sum(
-                float((p.grad ** 2).sum()) for p in params.values()
-                if p.grad is not None)))
             g = model.embedding.cls_token.grad
             cls_grad = None if g is None else g.reshape(-1).copy()
-            optimizer_step(params, state, lr, cfg.weight_decay)
-            step += 1
-            log.records.append(StepRecord(step, epoch, lr, loss_val,
+            grad_norm = optimizer_step(params, state, lr, cfg.weight_decay)
+            log.records.append(StepRecord(state.step, epoch, lr, loss_val,
                                           grad_norm, cls_grad))
-            if max_steps is not None and step >= max_steps:
+            if max_steps is not None and state.step >= max_steps:
                 return log
     return log

@@ -5,10 +5,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import toy_model
+from conftest import toy_config, toy_model
 from panelqa.checkpoint import (CheckpointError, build_model,
                                 load_checkpoint, load_optimizer,
                                 save_checkpoint)
+from panelqa.model import init_model
+from panelqa.tensor import Rng
 from panelqa.training import OptimizerState
 
 
@@ -51,6 +53,20 @@ class TestRoundTrip:
         save_checkpoint(path, model)
         restored = build_model(load_checkpoint(path))
         assert restored.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_build_draws_nothing(self, tmp_path, monkeypatch, dtype):
+        model = init_model(toy_config(), Rng(5), dtype=dtype)
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, model)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_model drew a parameter")
+        monkeypatch.setattr(Rng, "trunc_normal", refuse)
+        restored = build_model(load_checkpoint(path)).named_parameters()
+        for name, p in model.named_parameters().items():
+            assert restored[name].data.dtype == dtype
+            assert restored[name].data.tobytes() == p.data.tobytes()
 
     def test_byte_identical_saves(self, tmp_path):
         model = toy_model(seed=4)

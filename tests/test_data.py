@@ -79,6 +79,39 @@ class TestDistortions:
             blocks, np.broadcast_to(blocks.mean(axis=(2, 4), keepdims=True),
                                     blocks.shape))
 
+    @pytest.mark.parametrize("hw", [10, 16])
+    def test_blockiness_change_increases_with_level(self, hw):
+        bases = gen_base_images(20, hw, Rng(0))
+        change = [np.mean([np.abs(apply_distortion(img, "blockiness", level,
+                                                   Rng(0)) - img).mean()
+                           for img in bases]) for level in range(1, 6)]
+        assert all(b > a for a, b in zip(change, change[1:]))
+
+    @pytest.mark.parametrize("hw,level", [(10, 3), (16, 3), (16, 5), (9, 1)])
+    def test_partial_edge_blocks_are_blocked(self, hw, level):
+        img = gen_base_images(1, hw, Rng(5))[0]
+        out = apply_distortion(img, "blockiness", level, Rng(0))
+        b = 2 * level
+        for y in range(0, hw, b):
+            for x in range(0, hw, b):
+                block = out[:, y:y + b, x:x + b]
+                npt.assert_array_equal(
+                    block, np.broadcast_to(block[:, :1, :1], block.shape))
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_whole_blocks_keep_their_bytes(self, level):
+        """Where the block edge divides the image, blockiness is the plain
+        block mean of every ``2 * level`` block, byte for byte."""
+        img = gen_base_images(1, 24, Rng(6))[0]
+        b, n = 2 * level, 24 // (2 * level)
+        blocks = img.reshape(3, n, b, n, b)
+        means = blocks.mean(axis=(2, 4), keepdims=True)
+        expected = np.clip(np.broadcast_to(means, blocks.shape)
+                           .reshape(3, 24, 24), 0.0, 1.0)
+        out = apply_distortion(img, "blockiness", level, Rng(0))
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             apply_distortion(np.zeros((3, 4, 4)), "sepia", 1, Rng(0))

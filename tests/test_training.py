@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import toy_config, toy_model
+from panelqa import training
 from panelqa.checkpoint import (build_model, load_checkpoint, load_optimizer,
                                 save_checkpoint)
 from panelqa.data import Manifest, Sample, gen_base_images
@@ -142,6 +143,41 @@ class TestOptimizer:
         with pytest.raises(NonFiniteError, match="p"):
             optimizer_step({"p": p}, state, lr=0.1, weight_decay=1e-4)
 
+    def test_infinite_gradient_names_parameter(self):
+        params = {"ok": Tensor([1.0], requires_grad=True),
+                  "enc.w": Tensor([1.0, 2.0], requires_grad=True)}
+        state = OptimizerState.init(params)
+        params["ok"].grad = np.array([0.5])
+        params["enc.w"].grad = np.array([1.0, -np.inf])
+        with pytest.raises(NonFiniteError,
+                           match="non-finite gradient for parameter enc.w"):
+            optimizer_step(params, state, lr=0.1, weight_decay=1e-4)
+
+    def test_returns_norm_and_scans_only_nonfinite_sums(self, monkeypatch):
+        """The norm is the root of the per-tensor sums of squares, a missing
+        gradient counting as zeros; no finite sum leads to an elementwise
+        ``isfinite`` over its gradient."""
+        params = {"a": Tensor([1.0, 1.0], requires_grad=True),
+                  "b": Tensor([1.0], requires_grad=True)}
+        state = OptimizerState.init(params)
+        params["a"].grad = np.array([3.0, 4.0])
+        scanned = []
+
+        def isfinite(x, real=np.isfinite):
+            scanned.append(np.ndim(x))
+            return real(x)
+        monkeypatch.setattr(np, "isfinite", isfinite)
+        assert optimizer_step(params, state, lr=0.1, weight_decay=0.0) == 5.0
+        assert all(ndim == 0 for ndim in scanned)
+
+    def test_overflowing_square_of_finite_gradient_is_not_an_error(self):
+        p = Tensor(np.ones(2, np.float32), requires_grad=True)
+        state = OptimizerState.init({"p": p})
+        p.grad = np.full(2, 1e30, np.float32)
+        with np.errstate(over="ignore"):
+            norm = optimizer_step({"p": p}, state, lr=0.1, weight_decay=0.0)
+        assert norm == np.inf and np.all(np.isfinite(p.data))
+
 
 def tiny_manifest(n=4, hw=12, seed=0):
     imgs = gen_base_images(n, hw, Rng(("mani", seed)))
@@ -208,6 +244,34 @@ class TestFit:
             ends.append(resumed.named_parameters())
         assert any(not np.array_equal(p.data, ends[1][k].data)
                    for k, p in ends[0].items())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_grad_norm_is_the_norm_of_the_stepped_gradients(self, monkeypatch,
+                                                            dtype):
+        expected = []
+
+        def step(params, state, lr, weight_decay):
+            expected.append(float(np.sqrt(sum(
+                float((p.grad ** 2).sum()) for p in params.values()
+                if p.grad is not None))))
+            return optimizer_step(params, state, lr, weight_decay)
+
+        monkeypatch.setattr(training, "optimizer_step", step)
+        cfg = TrainConfig(epochs=2, batch_size=4, crops_per_image=2, seed=8,
+                          precision=32 if dtype == np.float32 else 64)
+        model = init_model(toy_config(), Rng(8), dtype=dtype)
+        log = fit(model, tiny_manifest(), cfg)
+        assert len(expected) == len(log.records) == 4
+        assert [r.grad_norm for r in log.records] == expected  # bit-exact
+
+    def test_steps_continue_from_a_resumed_state(self):
+        model = toy_model(seed=9)
+        state = OptimizerState.init(model.named_parameters())
+        state.step = 5
+        cfg = TrainConfig(epochs=1, batch_size=4, crops_per_image=2, seed=9)
+        log = fit(model, tiny_manifest(), cfg, max_steps=7, state=state)
+        assert [r.step for r in log.records] == [6, 7]
+        assert state.step == 7
 
     def test_log_serialization(self, tmp_path):
         cfg = TrainConfig(epochs=1, batch_size=8, crops_per_image=1, seed=4)

@@ -6,9 +6,12 @@ runs, for checking that a change keeps every output byte-identical.
 Runs the command list of ``tools/reach.py`` (a toy corpus, every command and
 each protocol mode) into the new directory ``DIR``. For each run it prints the
 exit code and the sha256 of its stdout and stderr, then ``sha256 path`` for
-every file written under ``DIR``. Last, it prints a hash over the losses,
+every file written under ``DIR``. Then it prints a hash over the losses,
 gradient norms and final parameters of a 12-step criterion-7 fit in float32
-and in float64. Output paths appear in stdout, so compare two trees by running
+and in float64. Last, it prints a hash over the image bytes of a second
+synthetic corpus (3 base images, every distortion kind at 5 levels, 24 x 24
+pixels), so that the data generator is covered at a schedule other than the
+toy corpus's. Output paths appear in stdout, so compare two trees by running
 each into the same ``DIR`` (remove it in between) and diffing the two prints.
 It exits 1 if a run failed. It takes a few seconds and is not part of the test
 suite.
@@ -70,6 +73,18 @@ def fit_hash(precision: int) -> str:
     return h.hexdigest()
 
 
+def corpus_hash() -> str:
+    """The data generator at a schedule the toy corpus does not use."""
+    from panelqa import data
+    from panelqa.tensor import Rng
+    corpus = data.gen_synthetic_dataset(3, 5, data.DISTORTION_KINDS,
+                                        Rng(("outputs", 1)), hw=24)
+    h = hashlib.sha256()
+    for sample in corpus:
+        h.update(sample.image_ref.tobytes())
+    return h.hexdigest()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or os.path.exists(argv[0]):
         print("usage: outputs.py DIR  (DIR must not exist)", file=sys.stderr)
@@ -79,6 +94,7 @@ def main(argv: list[str]) -> int:
     ok = run_commands(out_dir)
     for precision in (32, 64):
         print(f"{fit_hash(precision)}  fit-float{precision}-{FIT_STEPS}-steps")
+    print(f"{corpus_hash()}  corpus-3x5-hw24")
     return 0 if ok else 1
 
 
