@@ -5,7 +5,8 @@ Layout (all integers little-endian):
   u8 has_optimizer | u32 n_tensors | tensor records
 Tensor record: u32 name_len | name utf-8 | u8 dtype (1=f32, 2=f64) |
   u32 rank | rank x u64 dims | raw little-endian element bytes.
-Optimizer moments are "opt.m." / "opt.v." records, present iff has_optimizer=1.
+Optimizer moments are "opt.m." / "opt.v." records, present iff has_optimizer=1,
+one of each model record's name and shape; without them the step is 0.
 Every tensor has the model's dtype, float32 or float64; the writer refuses
 and the reader rejects a file that mixes dtypes.
 The config is the model's ``key = value`` text, written and read by
@@ -25,7 +26,6 @@ from .config import keys, parse, write
 from .data import atomic_write
 from .encoder import ModelConfig
 from .model import QualityTransformer, init_model
-from .tensor import Tensor
 from .training import OptimizerState
 
 MAGIC = b"DEIQ"
@@ -43,9 +43,7 @@ class Checkpoint:
     path: str   # the file it was read from, named by every error
     config: ModelConfig
     tensors: dict[str, np.ndarray]
-    step: int = 0
-    opt_m: Optional[dict[str, np.ndarray]] = None
-    opt_v: Optional[dict[str, np.ndarray]] = None
+    optimizer: Optional[OptimizerState] = None   # its AdamW state and step
 
     @property
     def dtype(self) -> np.dtype:   # of its tensors; float64 if it has none
@@ -182,26 +180,30 @@ def load_checkpoint(path: str) -> Checkpoint:
     if r.pos < len(r.raw):
         raise r.error(f"{len(r.raw) - r.pos} trailing bytes at byte {r.pos}")
     _check_dtypes(path, records)
-    tensors, opt_m, opt_v = {}, {}, {}
+    tensors, m, v = {}, {}, {}
     for name, arr in records:
         if name.startswith("opt.m."):
-            opt_m[name[6:]] = arr
+            m[name[6:]] = arr
         elif name.startswith("opt.v."):
-            opt_v[name[6:]] = arr
+            v[name[6:]] = arr
         else:
             tensors[name] = arr
-    if has_opt != bool(opt_m or opt_v):   # 1 exactly when opt.* records follow
+    if has_opt != bool(m or v):   # 1 exactly when opt.* records follow
         raise r.error(f"optimizer flag {has_opt} at byte {flag_at} does not "
-                      f"match the {len(opt_m) + len(opt_v)} opt.* records")
-    return Checkpoint(path=path, config=config, tensors=tensors, step=step,
-                      opt_m=opt_m if has_opt else None,
-                      opt_v=opt_v if has_opt else None)
+                      f"match the {len(m) + len(v)} opt.* records")
+    if not has_opt:
+        if step:
+            raise r.error(f"step {step} at byte {flag_at - 8} without optimizer state")
+        return Checkpoint(path, config, tensors)
+    for prefix, stored in (("opt.m.", m), ("opt.v.", v)):
+        _check_records(path, stored, tensors, prefix)
+    return Checkpoint(path, config, tensors, OptimizerState(m, v, step))
 
 
 def _check_records(path: str, stored: dict[str, np.ndarray],
-                   params: dict[str, Tensor], prefix: str = "") -> None:
-    """``stored`` holds one array of each parameter's shape and nothing else;
-    errors name the file and the records."""
+                   params: dict, prefix: str = "") -> None:
+    """``stored`` holds one array of the shape of each of ``params`` (tensors
+    or arrays) and nothing else; errors name the file and the records."""
     missing = sorted(params.keys() - stored.keys())
     extra = sorted(stored.keys() - params.keys())
     if missing or extra:
@@ -229,13 +231,3 @@ def build_model(ckpt: Checkpoint) -> QualityTransformer:
         p.data = ckpt.tensors[name].astype(ckpt.dtype)
     return model
 
-
-def load_optimizer(ckpt: Checkpoint, params: dict[str, Tensor]) -> OptimizerState:
-    """The AdamW state of ``params``: both moments of every parameter."""
-    if ckpt.opt_m is None:
-        raise CheckpointError(f"{ckpt.path}: checkpoint carries no optimizer state")
-    for prefix, stored in (("opt.m.", ckpt.opt_m), ("opt.v.", ckpt.opt_v)):
-        _check_records(ckpt.path, stored, params, prefix)
-    return OptimizerState(m={k: ckpt.opt_m[k].copy() for k in params},
-                          v={k: ckpt.opt_v[k].copy() for k in params},
-                          step=ckpt.step)

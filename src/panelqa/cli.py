@@ -20,7 +20,7 @@ import numpy as np
 
 from . import data as dat
 from . import protocols as proto
-from .checkpoint import build_model, load_checkpoint, load_optimizer, save_checkpoint
+from .checkpoint import CheckpointError, build_model, load_checkpoint, save_checkpoint
 from .config import ConfigError, build, convert, keys, parse, write
 from .encoder import ModelConfig
 from .metrics import attention_map, center_crop, evaluate, panel_cosine
@@ -128,9 +128,9 @@ def cmd_train(cfg: RunConfig, args, ckpt=None, model=None) -> int:
     if ckpt is None:
         model = init_model(cfg.model, Rng(("model", cfg.train.seed)),
                            dtype=cfg.train.dtype)
-        state = OptimizerState.init(model.named_parameters())
-    else:
-        state = load_optimizer(ckpt, model.named_parameters())
+    elif ckpt.optimizer is None:
+        raise CheckpointError(f"{ckpt.path}: checkpoint carries no optimizer state")
+    state = ckpt.optimizer if ckpt else OptimizerState.init(model.named_parameters())
     _check_crop_fits(cfg.model.crop_hw, manifest, test_manifest)
     out = _prepare_out(cfg, args.out)
     log = fit(model, manifest, cfg.train, state=state)

@@ -100,23 +100,25 @@ def optimizer_step(params: dict[str, Tensor], state: OptimizerState,
                    lr: float, weight_decay: float) -> float:
     """AdamW update (Loshchilov & Hutter, arXiv:1711.05101) with the
     recipe's fixed moments and epsilon; clears the gradients and returns
-    their L2 norm, a missing gradient counting as zeros."""
+    their L2 norm, a missing gradient counting as zeros. Every gradient is
+    checked before any update, so a step that raises changes nothing."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    state.step += 1
-    total = 0.0
-    for name, p in params.items():
-        g = np.zeros_like(p.data) if p.grad is None else p.grad
-        sq = float((g ** 2).sum())
-        if not np.isfinite(sq) and not np.isfinite(g).all():
+    grads = {k: np.zeros_like(p.data) if p.grad is None else p.grad
+             for k, p in params.items()}
+    sums = {k: float((g ** 2).sum()) for k, g in grads.items()}
+    for name, g in grads.items():
+        if not np.isfinite(sums[name]) and not np.isfinite(g).all():
             raise NonFiniteError(f"non-finite gradient for parameter {name}")
-        total += sq
+    state.step += 1
+    for name, p in params.items():
+        g = grads[name]
         state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
         state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
         mhat = state.m[name] / (1 - beta1 ** state.step)
         vhat = state.v[name] / (1 - beta2 ** state.step)
         p.data -= lr * (mhat / (np.sqrt(vhat) + eps) + weight_decay * p.data)
         p.zero_grad()
-    return float(np.sqrt(total))
+    return float(np.sqrt(sum(sums.values())))
 
 
 @dataclass
@@ -163,7 +165,9 @@ def fit(model: QualityTransformer, manifest: Manifest, cfg: TrainConfig,
     """Train the model in place; returns the per-step log.
 
     Passing an existing OptimizerState resumes from its step counter and
-    moments; the weight decay is always ``cfg.weight_decay``. The model's
+    moments; the weight decay is always ``cfg.weight_decay``. ``max_steps``
+    caps the absolute ``state.step``: a state at step 5 runs 2 steps to
+    ``max_steps=7``, and one already at ``max_steps`` runs none. The model's
     dtype must match ``cfg.precision``."""
     if len(manifest) == 0:
         raise ValueError("training manifest is empty")
@@ -178,6 +182,8 @@ def fit(model: QualityTransformer, manifest: Manifest, cfg: TrainConfig,
                         cfg.crops_per_image).astype(model.dtype)
     hw = model.config.crop_hw
     log = TrainLog()
+    if max_steps is not None and state.step >= max_steps:
+        return log
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
         crop_rng = Rng(("crops", cfg.seed, epoch))

@@ -13,8 +13,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import rand_image, toy_config, toy_model
-from panelqa.checkpoint import (build_model, load_checkpoint, load_optimizer,
-                                save_checkpoint)
+from panelqa.checkpoint import build_model, load_checkpoint, save_checkpoint
 from panelqa.data import (Manifest, Sample, gen_base_images,
                           gen_synthetic_dataset, split)
 from panelqa.decoder import (cross_attend, init_cross_block, init_query_block,
@@ -352,7 +351,7 @@ class TestCriterion11:
         for name, p in model.named_parameters().items():
             npt.assert_array_equal(restored.named_parameters()[name].data,
                                    p.data)
-        back = load_optimizer(ckpt, restored.named_parameters())
+        back = ckpt.optimizer
         for k in state.m:
             npt.assert_array_equal(back.m[k], state.m[k])
             npt.assert_array_equal(back.v[k], state.v[k])

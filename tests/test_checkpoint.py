@@ -7,8 +7,7 @@ import pytest
 
 from conftest import toy_config, toy_model
 from panelqa.checkpoint import (CheckpointError, build_model,
-                                load_checkpoint, load_optimizer,
-                                save_checkpoint)
+                                load_checkpoint, save_checkpoint)
 from panelqa.model import init_model
 from panelqa.tensor import Rng
 from panelqa.training import OptimizerState
@@ -20,7 +19,7 @@ class TestRoundTrip:
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(path, model)
         ckpt = load_checkpoint(path)
-        assert ckpt.step == 0  # no optimizer, no step
+        assert ckpt.optimizer is None
         assert ckpt.config == model.config
         restored = build_model(ckpt)
         for name, p in model.named_parameters().items():
@@ -37,9 +36,7 @@ class TestRoundTrip:
             state.v[k] += 0.5
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(path, model, optimizer=state)
-        ckpt = load_checkpoint(path)
-        restored = build_model(ckpt)
-        back = load_optimizer(ckpt, restored.named_parameters())
+        back = load_checkpoint(path).optimizer
         assert back.step == 5
         for k in params:
             npt.assert_array_equal(back.m[k], state.m[k])
@@ -343,30 +340,37 @@ class TestUntrustedBytes:
                 in str(info.value))
 
 
+def save_edited_state(path, edit):
+    """Save a toy model with an ``OptimizerState`` changed by ``edit``."""
+    model = toy_model(seed=15)
+    state = OptimizerState.init(model.named_parameters())
+    edit(state)
+    save_checkpoint(path, model, optimizer=state)
+    return path
+
+
 class TestOptimizerRecords:
-    @pytest.fixture
-    def ckpt(self, tmp_path):
-        model = toy_model(seed=15)
-        path = str(tmp_path / "m.ckpt")
-        save_checkpoint(path, model,
-                        optimizer=OptimizerState.init(model.named_parameters()))
-        return load_checkpoint(path)
+    """``load_checkpoint`` checks the moment records against the file's own
+    model records."""
 
-    def test_missing_second_moment_names_record(self, ckpt):
-        del ckpt.opt_v["panel"]
+    def test_missing_second_moment_names_record(self, tmp_path):
+        path = save_edited_state(str(tmp_path / "m.ckpt"),
+                                 lambda state: state.v.pop("panel"))
         with pytest.raises(CheckpointError, match=r"missing=\['opt\.v\.panel'\]"):
-            load_optimizer(ckpt, build_model(ckpt).named_parameters())
+            load_checkpoint(path)
 
-    def test_unknown_record_rejected(self, ckpt):
-        ckpt.opt_m["ghost"] = np.zeros(3)
+    def test_unknown_record_rejected(self, tmp_path):
+        path = save_edited_state(str(tmp_path / "m.ckpt"), lambda state:
+                                 state.m.update(ghost=np.zeros(3)))
         with pytest.raises(CheckpointError,
                            match=r"extra=\['opt\.m\.ghost'\]"):
-            load_optimizer(ckpt, build_model(ckpt).named_parameters())
+            load_checkpoint(path)
 
-    def test_moment_shape_must_match(self, ckpt):
-        ckpt.opt_v["panel"] = np.zeros((1, 2))
+    def test_moment_shape_must_match(self, tmp_path):
+        path = save_edited_state(str(tmp_path / "m.ckpt"), lambda state:
+                                 state.v.update(panel=np.zeros((1, 2))))
         with pytest.raises(CheckpointError, match="tensor opt.v.panel: checkpoint"):
-            load_optimizer(ckpt, build_model(ckpt).named_parameters())
+            load_checkpoint(path)
 
 
 class TestOptimizerFlag:
@@ -387,13 +391,28 @@ class TestOptimizerFlag:
         blob[flag_at] = flag
         path.write_bytes(bytes(blob))
         if flag == int(with_state):
-            assert (load_checkpoint(str(path)).opt_m is None) != with_state
+            assert (load_checkpoint(str(path)).optimizer is None) != with_state
             return
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(str(path))
         n_opt = 2 * len(model.named_parameters()) if with_state else 0
         assert (f"{path}: optimizer flag {flag} at byte {flag_at} does not "
                 f"match the {n_opt} opt.* records" in str(info.value))
+
+    def test_step_needs_optimizer_state(self, tmp_path):
+        """A file without optimizer state has step 0: the step belongs to
+        the optimizer."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), toy_model(seed=4))
+        blob = bytearray(path.read_bytes())
+        step_at = record_offsets(blob)[0] - 13
+        assert blob[step_at:step_at + 9] == bytes(9)   # step 0, flag 0
+        blob[step_at:step_at + 8] = struct.pack("<Q", 3)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(str(path))
+        assert (f"{path}: step 3 at byte {step_at} without optimizer state"
+                in str(info.value))
 
 
 class TestRecordErrorsNameTheFile:
@@ -422,15 +441,9 @@ class TestRecordErrorsNameTheFile:
             build_model(ckpt)
         assert str(info.value).startswith(f"{saved}: ")
 
-    def test_optimizer_records(self, saved):
-        ckpt = load_checkpoint(saved)
-        params = build_model(ckpt).named_parameters()
-        ckpt.opt_v["panel"] = np.zeros((1, 2))
+    def test_optimizer_records(self, tmp_path):
+        path = save_edited_state(str(tmp_path / "m.ckpt"), lambda state:
+                                 state.v.update(panel=np.zeros((1, 2))))
         with pytest.raises(CheckpointError, match="tensor opt.v.panel") as info:
-            load_optimizer(ckpt, params)
-        assert str(info.value).startswith(f"{saved}: ")
-        ckpt.opt_m = ckpt.opt_v = None
-        with pytest.raises(CheckpointError,
-                           match="carries no optimizer state") as info:
-            load_optimizer(ckpt, params)
-        assert str(info.value).startswith(f"{saved}: ")
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: ")

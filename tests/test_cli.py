@@ -4,8 +4,10 @@ import os
 import pytest
 
 from panelqa import cli
+from panelqa.checkpoint import build_model, load_checkpoint, save_checkpoint
 from panelqa.cli import (ConfigError, RunConfig, build_run_config, main,
                          parse_config_file)
+from panelqa.training import OptimizerState
 
 TOY_CFG = """\
 # toy configuration for fast tests
@@ -255,10 +257,9 @@ class TestTrainEval:
                    toy_dataset, "--out", run2,
                    "--resume", os.path.join(run1, "model.ckpt")])
         assert rc == 0
-        from panelqa.checkpoint import load_checkpoint
         first = load_checkpoint(os.path.join(run1, "model.ckpt"))
         second = load_checkpoint(os.path.join(run2, "model.ckpt"))
-        assert second.step > first.step
+        assert second.optimizer.step > first.optimizer.step
 
 
 class TestProtocolCommand:
@@ -383,6 +384,12 @@ class TestInputsCheckedFirst:
                      "nope", id="resume-checkpoint"),
         pytest.param(["eval", "--checkpoint", "{missing}",
                       "--manifest", "{data}"], "nope", id="eval-checkpoint"),
+        pytest.param(["train", "--manifest", "{data}", "--resume", "{bare}"],
+                     "checkpoint carries no optimizer state",
+                     id="resume-no-optimizer-state"),
+        pytest.param(["eval", "--checkpoint", "{no-opt-v}",
+                      "--manifest", "{data}"], "missing=['opt.v.panel']",
+                     id="eval-missing-moment-record"),
         pytest.param(["train", "--manifest", "{data}", "--resume", "{ckpt}",
                       "--token-dim", "32"],
                      "token_dim = 32 does not match token_dim = 16",
@@ -475,6 +482,15 @@ class TestInputsCheckedFirst:
                              a[6:-1], "--manifest", toy_dataset,
                              "--out", run]) == 0
                 names[a] = os.path.join(run, "model.ckpt")
+            elif a == "{bare}":   # ckpt32's model without optimizer state
+                names[a] = str(tmp_path / "bare.ckpt")
+                save_checkpoint(names[a], build_model(load_checkpoint(ckpt32)))
+            elif a == "{no-opt-v}":   # a state without an opt.v.panel record
+                model = build_model(load_checkpoint(ckpt32))
+                state = OptimizerState.init(model.named_parameters())
+                del state.v["panel"]
+                names[a] = str(tmp_path / "no-opt-v.ckpt")
+                save_checkpoint(names[a], model, optimizer=state)
             elif a == "{data8}":   # images smaller than the toy crop_hw
                 data8 = str(tmp_path / "data8")
                 assert main(["gen-data", "--config", toy_cfg_file,
@@ -502,14 +518,13 @@ class TestInputsCheckedFirst:
 
     def test_resume_float32_without_config_or_precision(self, tmp_path,
                                                         toy_dataset, ckpt32):
-        from panelqa.checkpoint import load_checkpoint
         out = tmp_path / "resumed"
         assert main(["train", "--manifest", toy_dataset, "--resume", ckpt32,
                      "--epochs", "1", "--batch-size", "8",
                      "--crops-per-image", "1", "--eval-crops", "1",
                      "--out", str(out)]) == 0
-        assert (load_checkpoint(str(out / "model.ckpt")).step
-                > load_checkpoint(ckpt32).step)
+        assert (load_checkpoint(str(out / "model.ckpt")).optimizer.step
+                > load_checkpoint(ckpt32).optimizer.step)
         ev = tmp_path / "ev"
         assert main(["eval", "--checkpoint", ckpt32, "--manifest",
                      toy_dataset, "--eval-crops", "1", "--out", str(ev)]) == 0

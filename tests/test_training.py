@@ -4,8 +4,7 @@ import pytest
 
 from conftest import toy_config, toy_model
 from panelqa import training
-from panelqa.checkpoint import (build_model, load_checkpoint, load_optimizer,
-                                save_checkpoint)
+from panelqa.checkpoint import build_model, load_checkpoint, save_checkpoint
 from panelqa.data import Manifest, Sample, gen_base_images
 from panelqa.model import init_model
 from panelqa.tensor import NonFiniteError, Rng, Tensor
@@ -178,6 +177,23 @@ class TestOptimizer:
             norm = optimizer_step({"p": p}, state, lr=0.1, weight_decay=0.0)
         assert norm == np.inf and np.all(np.isfinite(p.data))
 
+    def test_step_that_raises_changes_nothing(self):
+        """Every gradient is checked before any parameter is updated."""
+        params = {"a": Tensor([1.0], requires_grad=True),
+                  "b": Tensor([1.0], requires_grad=True)}
+        state = OptimizerState.init(params)
+        params["a"].grad = np.array([0.5])
+        params["b"].grad = np.array([np.nan])
+        with pytest.raises(NonFiniteError,
+                           match="non-finite gradient for parameter b"):
+            optimizer_step(params, state, lr=0.1, weight_decay=1e-4)
+        assert state.step == 0
+        npt.assert_array_equal(params["a"].data, [1.0])
+        npt.assert_array_equal(state.m["a"], [0.0])
+        npt.assert_array_equal(state.v["a"], [0.0])
+        npt.assert_array_equal(params["a"].grad, [0.5])
+        npt.assert_array_equal(params["b"].grad, [np.nan])
+
 
 def tiny_manifest(n=4, hw=12, seed=0):
     imgs = gen_base_images(n, hw, Rng(("mani", seed)))
@@ -237,7 +253,7 @@ class TestFit:
         for decay in (0.0, 0.5):
             ckpt = load_checkpoint(path)
             resumed = build_model(ckpt)
-            state = load_optimizer(ckpt, resumed.named_parameters())
+            state = ckpt.optimizer
             cfg = TrainConfig(epochs=1, batch_size=4, crops_per_image=1,
                               weight_decay=decay)
             fit(resumed, tiny_manifest(), cfg, max_steps=2, state=state)
@@ -272,6 +288,17 @@ class TestFit:
         log = fit(model, tiny_manifest(), cfg, max_steps=7, state=state)
         assert [r.step for r in log.records] == [6, 7]
         assert state.step == 7
+
+    def test_state_at_max_steps_runs_no_step(self):
+        model = toy_model(seed=9)
+        before = {k: p.data.copy() for k, p in model.named_parameters().items()}
+        state = OptimizerState.init(model.named_parameters())
+        state.step = 10
+        cfg = TrainConfig(epochs=1, batch_size=4, crops_per_image=2, seed=9)
+        log = fit(model, tiny_manifest(), cfg, max_steps=5, state=state)
+        assert log.records == [] and state.step == 10
+        for k, p in model.named_parameters().items():
+            npt.assert_array_equal(p.data, before[k])
 
     def test_log_serialization(self, tmp_path):
         cfg = TrainConfig(epochs=1, batch_size=8, crops_per_image=1, seed=4)

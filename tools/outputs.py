@@ -8,7 +8,9 @@ each protocol mode) into the new directory ``DIR``. For each run it prints the
 exit code and the sha256 of its stdout and stderr, then ``sha256 path`` for
 every file written under ``DIR``. Then it prints a hash over the losses,
 gradient norms and final parameters of a 12-step criterion-7 fit in float32
-and in float64. Last, it prints a hash over the image bytes of a second
+and in float64, and the sha256 of the float32 fit's checkpoint saved with its
+optimizer state (written into ``DIR`` after the file list), which pins the
+moment records. Last, it prints a hash over the image bytes of a second
 synthetic corpus (3 base images, every distortion kind at 5 levels, 24 x 24
 pixels), so that the data generator is covered at a schedule other than the
 toy corpus's. Output paths appear in stdout, so compare two trees by running
@@ -34,6 +36,11 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def file_sha(path: str) -> str:
+    with open(path, "rb") as fh:
+        return sha(fh.read())
+
+
 def run_commands(out_dir: str) -> bool:
     from panelqa import cli
     ok = True
@@ -47,16 +54,16 @@ def run_commands(out_dir: str) -> bool:
     for root, _, files in sorted(os.walk(out_dir)):
         for name in sorted(files):
             path = os.path.join(root, name)
-            with open(path, "rb") as fh:
-                print(f"{sha(fh.read())}  {path}")
+            print(f"{file_sha(path)}  {path}")
     return ok
 
 
-def fit_hash(precision: int) -> str:
+def fit_hash(precision: int, ckpt_path: str | None = None) -> str:
     """The criterion-7 recipe of the ``train_c7`` benchmark workload, on a
-    smaller corpus, at seed 1."""
+    smaller corpus, at seed 1; saves the model and its optimizer state to
+    ``ckpt_path`` if one is given."""
     import numpy as np
-    from panelqa import data, model, training
+    from panelqa import checkpoint, data, model, training
     from panelqa.tensor import Rng
     from workloads import C7
     corpus = data.gen_synthetic_dataset(40, 5, ["contrast_reduction"],
@@ -65,7 +72,10 @@ def fit_hash(precision: int) -> str:
     cfg = training.TrainConfig(epochs=4, base_lr=3e-3, batch_size=32,
                                crops_per_image=2, seed=1, precision=precision)
     m = model.init_model(C7, Rng(("model", 1)), dtype=cfg.dtype)
-    log = training.fit(m, train, cfg, max_steps=FIT_STEPS)
+    state = training.OptimizerState.init(m.named_parameters())
+    log = training.fit(m, train, cfg, max_steps=FIT_STEPS, state=state)
+    if ckpt_path is not None:
+        checkpoint.save_checkpoint(ckpt_path, m, optimizer=state)
     h = hashlib.sha256(log.losses().tobytes())
     h.update(np.array([r.grad_norm for r in log.records]).tobytes())
     for name, p in sorted(m.named_parameters().items()):
@@ -92,8 +102,11 @@ def main(argv: list[str]) -> int:
     out_dir = os.path.abspath(argv[0])
     os.makedirs(out_dir)
     ok = run_commands(out_dir)
+    ckpt = os.path.join(out_dir, f"fit-float32-{FIT_STEPS}-steps.ckpt")
     for precision in (32, 64):
-        print(f"{fit_hash(precision)}  fit-float{precision}-{FIT_STEPS}-steps")
+        print(f"{fit_hash(precision, ckpt if precision == 32 else None)}  "
+              f"fit-float{precision}-{FIT_STEPS}-steps")
+    print(f"{file_sha(ckpt)}  {os.path.basename(ckpt)}")
     print(f"{corpus_hash()}  corpus-3x5-hw24")
     return 0 if ok else 1
 
