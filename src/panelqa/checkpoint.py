@@ -219,7 +219,7 @@ def _check_records(path: str, stored: dict[str, np.ndarray],
 
 class _NoDraws:
     """``build_model``'s Rng: the checkpoint overwrites every draw."""
-    trunc_normal = staticmethod(lambda shape, std: np.zeros(shape))
+    trunc_normal = staticmethod(np.zeros)
 
 
 def build_model(ckpt: Checkpoint) -> QualityTransformer:

@@ -269,16 +269,18 @@ def read_manifest(path: str) -> Manifest:
             ref, score, group = parts
             if not ref:
                 raise ValueError(f"{path}:{line_no}: empty image path")
-            if ref in seen:
+            image = os.path.join(base, ref)
+            key = os.path.normpath(image)   # ./a.ppm is a.ppm
+            if key in seen:
                 raise ValueError(f"{path}:{line_no}: duplicate image {ref}")
-            seen.add(ref)
+            seen.add(key)
             try:
                 value = float(score)
             except ValueError:
                 raise ValueError(f"{path}:{line_no}: score {score!r} is not "
                                  f"a number") from None
             try:   # Sample rejects a non-finite score and an empty group
-                samples.append(Sample(os.path.join(base, ref), value, group))
+                samples.append(Sample(image, value, group))
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
     if not samples:

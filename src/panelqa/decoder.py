@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .encoder import (AttentionParams, ModelConfig, attention, init_attention,
-                      mhsa, _ones, _param, _zeros)
+                      _ones, _param, _zeros)
 from .tensor import Rng, Tensor, gelu, layer_norm, matmul
 
 
@@ -70,21 +70,10 @@ def init_panel(cfg: ModelConfig, rng: Rng) -> Tensor:
     return _param(rng, (cfg.panel_size, cfg.token_dim))
 
 
-def panel_inputs(t_cls: Tensor, panel: Tensor) -> Tensor:
-    """Expand the CLS token over panel members: row l = t_cls + panel[l].
-
-    t_cls: (B, 1, D); panel: (L, D). Returns (B, L, D).
-    """
-    if t_cls.shape[-1] != panel.shape[-1]:
-        raise ValueError(
-            f"width mismatch: cls {t_cls.shape} vs panel {panel.shape}")
-    return t_cls + panel
-
-
 def make_queries(x: Tensor, block: QueryBlockParams, heads: int) -> Tensor:
     """Decoder queries: MHSA over the (B, L, D) panel inputs plus residual."""
-    return mhsa(layer_norm(x, block.ln_gain, block.ln_bias),
-                block.attn, heads) + x
+    h = layer_norm(x, block.ln_gain, block.ln_bias)
+    return attention(h, h, block.attn, heads) + x
 
 
 def cross_attend(queries: Tensor, patch_feats: Tensor, block: CrossBlockParams,

@@ -97,7 +97,7 @@ class EmbeddingParams:
 
 def _param(rng: Rng, shape) -> Tensor:
     """Weights drawn from a normal with std 0.02, truncated at two std."""
-    return Tensor(rng.trunc_normal(shape, std=0.02), requires_grad=True)
+    return Tensor(rng.trunc_normal(shape), requires_grad=True)
 
 
 def _zeros(shape) -> Tensor:
@@ -152,13 +152,6 @@ def patchify(image: Tensor, p: int) -> Tensor:
     x = image.reshape(B, C, gh, p, gw, p)
     x = x.transpose(0, 2, 4, 1, 3, 5)        # (B, gh, gw, C, p, p)
     return x.reshape(B, gh * gw, C * p * p)
-
-
-def unpatchify(patches: np.ndarray, p: int, channels: int, hw: int) -> np.ndarray:
-    """Inverse of patchify for a single image; a test oracle only."""
-    g = hw // p
-    x = patches.reshape(g, g, channels, p, p)
-    return x.transpose(2, 0, 3, 1, 4).reshape(channels, hw, hw)
 
 
 def embed(image: Tensor, params: EmbeddingParams, patch_size: int) -> Tensor:
@@ -262,17 +255,12 @@ def attention(q_in: Tensor, kv_in: Tensor, params: AttentionParams,
     return out
 
 
-def mhsa(tokens: Tensor, params: AttentionParams, heads: int) -> Tensor:
-    """Self-attention over (B, M, D) tokens."""
-    return attention(tokens, tokens, params, heads)
-
-
 def encoder_block(tokens: Tensor, block: EncoderBlockParams,
                   heads: int) -> Tensor:
     """Pre-norm transformer block over (B, M, D) tokens: MHSA then MLP, each
     with a residual."""
-    zm = mhsa(layer_norm(tokens, block.ln1_gain, block.ln1_bias),
-              block.attn, heads) + tokens
+    h = layer_norm(tokens, block.ln1_gain, block.ln1_bias)
+    zm = attention(h, h, block.attn, heads) + tokens
     h = gelu(matmul(layer_norm(zm, block.ln2_gain, block.ln2_bias),
                     block.mlp_w1, block.mlp_b1))
     return matmul(h, block.mlp_w2, block.mlp_b2) + zm

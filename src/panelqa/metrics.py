@@ -177,6 +177,9 @@ def steps_to_variance_decay(hists: list[GradHistogram], frac: float = 0.1,
                             smooth: int = 5) -> int:
     """First step index at which the (moving-average smoothed) CLS-gradient
     variance falls below frac of its initial value; len(hists) if never."""
+    if len(hists) < smooth:
+        raise ValueError(f"{len(hists)} histograms are fewer than the "
+                         f"smoothing window of {smooth}")
     var = np.array([h.variance for h in hists])
     if smooth > 1:
         kernel = np.ones(smooth) / smooth

@@ -93,7 +93,7 @@ def forward_panel(model: QualityTransformer, images: Tensor):
     patches = z[:, 1:, :]         # (B, N, D)
 
     if model.panel is not None:
-        x = dec.panel_inputs(cls, model.panel)            # (B, L, D)
+        x = cls + model.panel                             # (B, L, D)
     elif model.random_queries is not None:
         ones = Tensor(np.ones((images.shape[0], 1, 1), model.dtype))
         x = model.random_queries * ones                   # (B, L, D)

@@ -132,10 +132,15 @@ def protocol_data_efficiency(manifest: Manifest, model_cfg: ModelConfig,
                              eval_crops: int = 1, train_frac: float = 0.8
                              ) -> ProtocolReport:
     """Sweep the training fraction with a fixed ``1 - train_frac`` held-out
-    test side; a fraction above ``train_frac`` is rejected before any run."""
+    test side; a fraction above ``train_frac``, or one that keeps no group,
+    is rejected before any run."""
     if max(fractions, default=0) > train_frac:
         raise ValueError(f"data-efficiency fraction {max(fractions)} exceeds "
                          f"train_frac {train_frac}")
+    groups = len(manifest.groups())
+    if round(min(fractions, default=1) * groups) < 1:
+        raise ValueError(f"data-efficiency fraction {min(fractions)} keeps "
+                         f"none of the {groups} groups")
     settings = [(f"frac={f:.2f}", 1000 * int(f * 100), model_cfg, f)
                 for f in fractions]
     return _sweep("data-efficiency", manifest, train_cfg, settings, repeats,

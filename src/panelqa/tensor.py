@@ -93,9 +93,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, op={self._op}, grad={self.requires_grad})"
-
     # -- tape plumbing -------------------------------------------------------
 
     def zero_grad(self):
@@ -172,8 +169,6 @@ class Tensor:
             lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)),
             "add")
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         other = self._coerce(other)
         out = self.data * other.data
@@ -183,11 +178,6 @@ class Tensor:
             lambda g: (_unbroadcast(g * b.data, a.shape),
                        _unbroadcast(g * a.data, b.shape)),
             "mul")
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         """Basic indexing by ints and slices only. Such a key never selects
@@ -284,17 +274,15 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return Tensor._make(y, (x,), vjp, "softmax")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     Row means are GEMVs against a constant 1/n vector, one pass each."""
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
     n = x.shape[-1]
     rows = x.data.reshape(-1, n)
     mean_of = np.full(n, 1.0 / n, dtype=x.dtype)
     xc = rows - (rows @ mean_of)[:, None]
-    inv = 1.0 / np.sqrt((xc * xc) @ mean_of + eps)[:, None]
+    inv = 1.0 / np.sqrt((xc * xc) @ mean_of + 1e-6)[:, None]
     xhat = np.multiply(xc, inv, out=xc)
     out = xhat * gain.data
     out += bias.data
@@ -381,14 +369,14 @@ class Rng:
     def normal(self, shape, std=1.0, dtype=np.float64) -> np.ndarray:
         return (self._gen.standard_normal(size=shape) * std).astype(dtype)
 
-    def trunc_normal(self, shape, std=0.02) -> np.ndarray:
-        """Normal(0, std) resampled until within two standard deviations."""
+    def trunc_normal(self, shape) -> np.ndarray:
+        """Normal(0, 0.02) resampled until within two standard deviations."""
         out = self._gen.standard_normal(size=shape)
         bad = np.abs(out) > 2.0
         while bad.any():
             out[bad] = self._gen.standard_normal(size=int(bad.sum()))
             bad = np.abs(out) > 2.0
-        return out * std
+        return out * 0.02
 
     def uniform(self, shape, lo=0.0, hi=1.0) -> np.ndarray:
         return self._gen.uniform(lo, hi, size=shape)

@@ -38,6 +38,13 @@ def batched(image: Tensor) -> Tensor:
     return image.reshape((1,) + image.shape)
 
 
+def unpatchify(patches: np.ndarray, p: int, channels: int, hw: int) -> np.ndarray:
+    """Inverse of ``encoder.patchify`` for a single image."""
+    g = hw // p
+    x = patches.reshape(g, g, channels, p, p)
+    return x.transpose(2, 0, 3, 1, 4).reshape(channels, hw, hw)
+
+
 @pytest.fixture
 def cfg():
     return toy_config()

@@ -17,8 +17,9 @@ from panelqa.checkpoint import build_model, load_checkpoint, save_checkpoint
 from panelqa.data import (Manifest, Sample, gen_base_images,
                           gen_synthetic_dataset, split)
 from panelqa.decoder import (cross_attend, init_cross_block, init_query_block,
-                             make_queries, panel_inputs)
-from panelqa.encoder import ModelConfig, encode, init_attention, mhsa, patchify
+                             make_queries)
+from panelqa.encoder import (ModelConfig, attention, encode, init_attention,
+                             patchify)
 from panelqa.metrics import (cls_grad_stats, evaluate, panel_cosine, plcc,
                              srcc, steps_to_variance_decay)
 from panelqa.model import forward_panel, forward_scores, init_model
@@ -113,15 +114,15 @@ class TestCriterion2:
         worst = 0.0
         for seed in range(20):
             rng = Rng(("oracle", seed))
-            # mhsa against the loop oracle
+            # self-attention against the loop oracle
             p = init_attention(cfg, rng.child(0))
             x = rng.normal((9, D))
-            got = mhsa(Tensor(x[None]), p, h).data[0]
+            t = Tensor(x[None])
+            got = attention(t, t, p, h).data[0]
             worst = max(worst, np.abs(got - naive_attention(x, x, p, h)).max())
             # make_queries: MHSA(Norm(cls + panel)) + (cls + panel)
             qb = init_query_block(cfg, rng.child(1))
-            q_in = panel_inputs(Tensor(rng.normal((1, D))),
-                                Tensor(rng.normal((L, D)))).data
+            q_in = rng.normal((1, D)) + rng.normal((L, D))
             got_q = make_queries(Tensor(q_in[None]), qb, h).data[0]
             normed = np.stack([naive_ln(r, qb.ln_gain.data, qb.ln_bias.data)
                                for r in q_in])

@@ -292,10 +292,14 @@ class TestFileIO:
         assert data.load_image(back.samples[1]).shape == (3, 8, 8)
 
     def test_duplicate_refs_rejected(self, tmp_path):
+        # one file however it is spelled, so split cannot put it on both sides
         p = tmp_path / "m.csv"
-        p.write_text("path,score,group\na.ppm,1.0,g0\na.ppm,0.5,g1\n")
-        with pytest.raises(ValueError):
-            data.read_manifest(str(p))
+        for second in ("a.ppm", "./a.ppm", "sub/../a.ppm"):
+            p.write_text(f"path,score,group\na.ppm,1.0,g0\n{second},0.5,g1\n"
+                         f"b.ppm,0.5,g3\n")
+            with pytest.raises(ValueError,
+                               match=f"m.csv:3: duplicate image {second}$"):
+                data.read_manifest(str(p))
 
     def test_whitespace_around_fields_dropped(self, tmp_path):
         p = tmp_path / "m.csv"

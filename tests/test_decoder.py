@@ -4,33 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import batched, rand_image, toy_config, toy_model
+from conftest import batched, rand_image, toy_config, toy_model, unpatchify
 from panelqa import decoder as dec
 from panelqa import encoder as enc
 from panelqa import model as mdl
 from panelqa.tensor import Rng, ShapeError, Tensor, grad_check
 from test_encoder import naive_attention
-
-
-class TestPanelInputs:
-    def test_zero_panel(self):
-        t = Tensor(Rng(0).normal((1, 16)))
-        out = dec.panel_inputs(t, Tensor(np.zeros((3, 16))))
-        npt.assert_array_equal(out.data, np.repeat(t.data, 3, axis=0))
-
-    def test_single_member(self):
-        t = Tensor(Rng(1).normal((1, 16)))
-        j = Tensor(Rng(2).normal((1, 16)))
-        npt.assert_array_equal(dec.panel_inputs(t, j).data, t.data + j.data)
-
-    def test_zero_cls_returns_panel(self):
-        j = Tensor(Rng(3).normal((4, 16)))
-        out = dec.panel_inputs(Tensor(np.zeros((1, 16))), j)
-        npt.assert_array_equal(out.data, j.data)
-
-    def test_width_mismatch(self):
-        with pytest.raises(ValueError):
-            dec.panel_inputs(Tensor(np.zeros((1, 8))), Tensor(np.zeros((3, 16))))
 
 
 class TestMakeQueries:
@@ -165,7 +144,7 @@ class TestPredict:
         base = mdl.predict(model, img).score
         for _ in range(3):
             perm = rng.permutation(9)
-            img2 = Tensor(enc.unpatchify(patches[perm], 4, 3, 12))
+            img2 = Tensor(unpatchify(patches[perm], 4, 3, 12))
             assert abs(mdl.predict(model, img2).score - base) <= 1e-5
 
     def test_decoder_weight_maps_exported(self, model):
@@ -209,6 +188,18 @@ class TestVariants:
         pred = mdl.predict(model, rand_image(model.config, Rng(14)))
         assert pred.panel_scores.shape == (n_scores,)
         assert np.isfinite(pred.score)
+
+    def test_panel_rows_are_cls_plus_panel(self):
+        # panel_no_decoder scores its decoder inputs, so they are returned
+        model = toy_model(seed=3, variant="panel_no_decoder")
+        cfg = model.config
+        images = Tensor(Rng(17).uniform((2, 3, cfg.crop_hw, cfg.crop_hw)))
+        _, embeddings, _ = mdl.forward_panel(model, images)
+        cls = enc.encode(images, model.embedding, model.enc_blocks, cfg.heads,
+                         cfg.patch_size).data[:, 0]
+        for l in range(cfg.panel_size):
+            npt.assert_array_equal(embeddings.data[:, l],
+                                   cls + model.panel.data[l])
 
     def test_random_queries_ignore_image_content_mixing(self):
         # the random-query variant has no CLS pathway into the decoder input

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import batched, rand_image, toy_config, toy_model
+from conftest import batched, rand_image, toy_config, toy_model, unpatchify
 from panelqa import config
 from panelqa import encoder as enc
 from panelqa.encoder import ModelConfig
@@ -111,7 +111,7 @@ class TestPatchify:
         img = np.arange(16.0).reshape(1, 4, 4)
         patches = enc.patchify(Tensor(img[None]), 2).data[0]
         assert patches.shape == (4, 4)
-        npt.assert_array_equal(enc.unpatchify(patches, 2, 1, 4), img)
+        npt.assert_array_equal(unpatchify(patches, 2, 1, 4), img)
 
     def test_indivisible_rejected(self):
         with pytest.raises(ShapeError):
@@ -151,7 +151,7 @@ class TestEmbed:
         img = rand_image(model.config, rng)
         patches = enc.patchify(batched(img), 4).data[0]
         perm = rng.permutation(9)
-        img2 = enc.unpatchify(patches[perm], 4, 3, 12)
+        img2 = unpatchify(patches[perm], 4, 3, 12)
         a = enc.embed(batched(img), emb, 4).data[0]
         b = enc.embed(Tensor(img2[None]), emb, 4).data[0]
         npt.assert_allclose(b[0], a[0], atol=1e-12)
@@ -163,7 +163,8 @@ class TestMhsa:
         p = model.config
         block = model.enc_blocks[0].attn
         x = Rng(4).normal((1, p.token_dim))
-        out = enc.mhsa(Tensor(x[None]), block, p.heads).data[0]
+        t = Tensor(x[None])
+        out = enc.attention(t, t, block, p.heads).data[0]
         npt.assert_allclose(out, naive_attention(x, x, block, p.heads),
                             atol=1e-12)
 
@@ -172,7 +173,8 @@ class TestMhsa:
         block = model.enc_blocks[0].attn
         row = Rng(5).normal((1, p.token_dim))
         x = np.repeat(row, 5, axis=0)
-        out = enc.mhsa(Tensor(x[None]), block, p.heads).data[0]
+        t = Tensor(x[None])
+        out = enc.attention(t, t, block, p.heads).data[0]
         npt.assert_allclose(out, np.repeat(out[:1], 5, axis=0), atol=1e-12)
 
     def test_vs_naive_oracle_20_seeds(self, model):
@@ -180,7 +182,8 @@ class TestMhsa:
         block = model.enc_blocks[0].attn
         for seed in range(20):
             x = Rng(seed).normal((6, p.token_dim))
-            got = enc.mhsa(Tensor(x[None]), block, p.heads).data[0]
+            t = Tensor(x[None])
+            got = enc.attention(t, t, block, p.heads).data[0]
             want = naive_attention(x, x, block, p.heads)
             assert np.max(np.abs(got - want)) <= 1e-10
 
@@ -290,7 +293,7 @@ class TestEncoderBlock:
                   "wo": block.wo, "bo": block.bo}
 
         def f():
-            out = enc.mhsa(x, block, model.config.heads)
+            out = enc.attention(x, x, block, model.config.heads)
             return (out * out).mean()
 
         assert grad_check(f, params, eps=1e-4) <= 1e-5
@@ -332,7 +335,7 @@ class TestEncode:
 
         base = cls_of(img)
         perm = rng.permutation(9)
-        permuted = Tensor(enc.unpatchify(patches[perm], 4, 3, 12))
+        permuted = Tensor(unpatchify(patches[perm], 4, 3, 12))
         assert np.max(np.abs(cls_of(permuted) - base)) <= 1e-5
 
     def test_nonzero_pos_breaks_invariance(self, model):
@@ -340,7 +343,7 @@ class TestEncode:
         img = rand_image(model.config, rng)
         patches = enc.patchify(batched(img), 4).data[0]
         perm = rng.permutation(9)
-        permuted = Tensor(enc.unpatchify(patches[perm], 4, 3, 12))
+        permuted = Tensor(unpatchify(patches[perm], 4, 3, 12))
 
         def cls_of(im):
             return enc.encode(batched(im), model.embedding, model.enc_blocks,

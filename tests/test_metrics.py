@@ -8,9 +8,9 @@ import panelqa.metrics as metrics_mod
 import panelqa.model as model_mod
 from conftest import rand_image, toy_model
 from panelqa.data import Manifest, Sample, gen_base_images
-from panelqa.metrics import (MetricError, attention_map, cls_grad_stats,
-                             cosine_matrix, evaluate, panel_cosine, plcc,
-                             srcc, steps_to_variance_decay)
+from panelqa.metrics import (GradHistogram, MetricError, attention_map,
+                             cls_grad_stats, cosine_matrix, evaluate,
+                             panel_cosine, plcc, srcc, steps_to_variance_decay)
 from panelqa.tensor import Rng, Tensor
 from panelqa.training import StepRecord, TrainConfig, TrainLog, fit
 
@@ -235,6 +235,16 @@ class TestClsGradStats:
         stats = cls_grad_stats(hists)
         idx = steps_to_variance_decay(stats, frac=0.1, smooth=1)
         assert 0 < idx <= len(stats)
+
+    def test_variance_decay_needs_a_full_window(self):
+        # a 3-step log smoothed over 5 would read "never decays" although
+        # the variance fell to 1% of its start
+        hists = [GradHistogram(i, np.zeros(1), np.zeros(2), v)
+                 for i, v in enumerate([1.0, 0.5, 0.01])]
+        with pytest.raises(ValueError, match="3 histograms.* window of 5"):
+            steps_to_variance_decay(hists)
+        assert steps_to_variance_decay(hists, smooth=3) == 3
+        assert steps_to_variance_decay(hists, smooth=1) == 2
 
     def test_from_real_fit(self):
         cfg = TrainConfig(epochs=1, batch_size=8, crops_per_image=1, seed=5)

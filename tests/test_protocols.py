@@ -157,6 +157,11 @@ class TestTrainFrac:
             proto.protocol_data_efficiency(tiny_corpus(), mc, tc, repeats=1,
                                            fractions=(0.2, 0.6),
                                            train_frac=0.5)
+        # of 2 groups, fraction 0.2 would train on round(0.4) = 0
+        with pytest.raises(ValueError, match="data-efficiency fraction 0.2 "
+                                             "keeps none of the 2 groups"):
+            proto.protocol_data_efficiency(tiny_corpus(bases=2), mc, tc,
+                                           repeats=1)
 
 
 class TestReportSerialization:

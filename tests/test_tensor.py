@@ -35,17 +35,17 @@ class TestMatmul:
     def test_identity(self):
         a = Tensor(np.eye(2))
         b = Tensor([[3.0, 4.0], [5.0, 6.0]])
-        npt.assert_array_equal((a @ b).data, b.data)
+        npt.assert_array_equal(matmul(a, b).data, b.data)
 
     def test_single_element(self):
-        out = Tensor([[1.0, 2.0]]) @ Tensor([[3.0], [4.0]])
+        out = matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
         assert out.item() == 11.0
 
     def test_against_triple_loop(self):
         rng = Rng(7)
         a = rng.normal((5, 7))
         b = rng.normal((7, 3))
-        got = (Tensor(a) @ Tensor(b)).data
+        got = matmul(Tensor(a), Tensor(b)).data
         assert np.max(np.abs(got - naive_matmul(a, b))) <= 1e-12
 
     def test_random_shapes_vs_oracle(self):
@@ -55,14 +55,14 @@ class TestMatmul:
             m, k, n = (int(x) for x in rng.integers(1, 9, size=3))
             a = rng.normal((m, k))
             b = rng.normal((k, n))
-            got = (Tensor(a) @ Tensor(b)).data
+            got = matmul(Tensor(a), Tensor(b)).data
             assert np.max(np.abs(got - naive_matmul(a, b))) <= 1e-12
 
     def test_float32_tolerance(self):
         rng = Rng(5)
         a = rng.normal((6, 6), dtype=np.float32)
         b = rng.normal((6, 6), dtype=np.float32)
-        got = (Tensor(a) @ Tensor(b)).data
+        got = matmul(Tensor(a), Tensor(b)).data
         assert np.max(np.abs(got - naive_matmul(a.astype(np.float64),
                                                 b.astype(np.float64)))) <= 1e-4
 
@@ -147,7 +147,7 @@ class TestLayerNorm:
 
     def test_two_point_closed_form(self):
         g, b = self.g_b(2)
-        out = layer_norm(Tensor([1.0, 3.0]), g, b, eps=1e-12)
+        out = layer_norm(Tensor([1.0, 3.0]), g, b)
         npt.assert_allclose(out.data, [-1.0, 1.0], atol=1e-6)
 
     def test_zero_mean(self):
@@ -180,11 +180,6 @@ class TestLayerNorm:
         for got, ref in zip((out.data, xt.grad, gt.grad, bt.grad), want):
             assert got.dtype == dtype
             npt.assert_allclose(got, ref, atol=atol, rtol=0)
-
-    def test_bad_eps(self):
-        g, b = self.g_b(2)
-        with pytest.raises(ValueError):
-            layer_norm(Tensor([1.0, 2.0]), g, b, eps=0.0)
 
 
 class TestGelu:
@@ -237,7 +232,7 @@ class TestBackward:
 
         f = lambda x: (x * x).sum()
         g = lambda x: softmax_lastdim(x).sum(axis=-1).mean()
-        combo = lambda x: alpha * f(x) + beta * g(x)
+        combo = lambda x: f(x) * alpha + g(x) * beta
         expect = alpha * grads(f) + beta * grads(g)
         npt.assert_allclose(grads(combo), expect, atol=1e-10)
 
@@ -330,7 +325,7 @@ class TestGradCheck:
         bias = Tensor(rng.normal((5,)), requires_grad=True)
 
         def f():
-            y = layer_norm(theta, gain, bias, eps=1e-5)
+            y = layer_norm(theta, gain, bias)
             return gelu(softmax_lastdim(y)).sum()
 
         err = grad_check(f, {"theta": theta, "gain": gain, "bias": bias},
@@ -406,5 +401,5 @@ class TestRng:
         assert not np.array_equal(a, b)
 
     def test_trunc_normal_bounded(self):
-        x = Rng(3).trunc_normal((10000,), std=0.02)
+        x = Rng(3).trunc_normal((10000,))
         assert np.max(np.abs(x)) <= 0.04 + 1e-12

@@ -9,7 +9,9 @@ runs every CLI command on a toy corpus (with ``--config``, ``train
 ``normalize_scores``, each variant, each protocol mode) and the three
 ``perfbench`` workloads in smoke mode. It then prints, for each module, the
 lines of each function that never ran; a function that was never called is
-one line. Input checks that only a malformed input reaches, and helpers that
+one line, marked ``(perfbench wraps it)`` when the benchmark's tracer
+(``tracing.TARGETS``) wraps it, so it stays until the benchmark drops that
+wrap. Input checks that only a malformed input reaches, and helpers that
 only the tests call, are listed too: the sweep finds candidates, and reading
 the code decides what is dead. It takes a few seconds and is not part of the
 test suite.
@@ -139,7 +141,14 @@ def runs_of(lines: list[int]) -> list[tuple[int, int]]:
     return out
 
 
-def report(path: str) -> list[str]:
+def traced() -> set[tuple[str, int]]:
+    """(file, first line) of each function that perfbench's tracer wraps."""
+    import tracing
+    codes = [owner.__dict__[attr].__code__ for owner, attr, _ in tracing.TARGETS]
+    return {(code.co_filename, code.co_firstlineno) for code in codes}
+
+
+def report(path: str, wrapped: set[tuple[str, int]]) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         source = fh.read()
     text = source.splitlines()
@@ -153,7 +162,10 @@ def report(path: str) -> list[str]:
         missed = sorted(lines - reached - shown)
         name = getattr(code, "co_qualname", code.co_name)
         if missed and lines <= set(missed) and code.co_name != "<module>":
-            out.append(f"  {name}: never called (line {code.co_firstlineno})")
+            mark = (" (perfbench wraps it)"
+                    if (path, code.co_firstlineno) in wrapped else "")
+            out.append(f"  {name}: never called (line {code.co_firstlineno})"
+                       + mark)
             shown = shown | set(range(code.co_firstlineno, max(lines) + 1))
         elif missed:
             out.append(f"  {name}:")
@@ -180,9 +192,10 @@ def main() -> int:
         finally:
             sys.settrace(None)
             os.chdir(cwd)
+    wrapped = traced()
     for module in sorted(os.listdir(PKG)):
         if module.endswith(".py"):
-            lines = report(os.path.join(PKG, module))
+            lines = report(os.path.join(PKG, module), wrapped)
             print(module + (":" if lines else ": every statement ran"))
             for line in lines:
                 print(line)
