@@ -224,7 +224,10 @@ class _NoDraws:
 
 def build_model(ckpt: Checkpoint) -> QualityTransformer:
     """Reconstruct the model from a checkpoint, in the dtype of its tensors."""
-    model = init_model(ckpt.config, _NoDraws(), dtype=ckpt.dtype)
+    try:   # in float64, so nothing is cast or written before the check
+        model = init_model(ckpt.config, _NoDraws())
+    except (MemoryError, ValueError) as exc:
+        raise CheckpointError(f"{ckpt.path}: cannot build its model: {exc}") from None
     params = model.named_parameters()
     _check_records(ckpt.path, ckpt.tensors, params)
     for name, p in params.items():

@@ -51,7 +51,7 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in proto.PROTOCOLS:
             raise ValueError(f"unknown protocol mode {self.mode!r}")
-        for name in ("eval_crops", "repeats"):
+        for name in ("bases", "image_hw", "eval_crops", "repeats"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.train_frac < 1.0:

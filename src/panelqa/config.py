@@ -8,12 +8,21 @@ directories and the config header of a checkpoint.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
           "false": False, "0": False, "no": False, "off": False}
+
+
+def _finite(raw: str) -> float:
+    if not math.isfinite(value := float(raw)):
+        raise ValueError(raw)
+    return value
+
+
 _TYPES = {"bool": ("boolean", lambda raw: _BOOLS[raw.lower()]),
-          "int": ("integer", int), "float": ("number", float)}
+          "int": ("integer", int), "float": ("number", _finite)}
 
 
 class ConfigError(ValueError):

@@ -149,9 +149,9 @@ def patchify(image: Tensor, p: int) -> Tensor:
     if H % p != 0 or W % p != 0:
         raise ShapeError(f"image {H}x{W} not divisible by patch size {p}")
     gh, gw = H // p, W // p
-    x = image.reshape(B, C, gh, p, gw, p)
+    x = image.reshape((B, C, gh, p, gw, p))
     x = x.transpose(0, 2, 4, 1, 3, 5)        # (B, gh, gw, C, p, p)
-    return x.reshape(B, gh * gw, C * p * p)
+    return x.reshape((B, gh * gw, C * p * p))
 
 
 def embed(image: Tensor, params: EmbeddingParams, patch_size: int) -> Tensor:

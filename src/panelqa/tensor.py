@@ -8,6 +8,7 @@ topological order. Arrays are numpy, float32 or float64 per run.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,19 +29,15 @@ class NonFiniteError(FloatingPointError):
 _GRAD_ENABLED = True
 
 
-class no_grad:
+@contextmanager
+def no_grad():
     """Context manager disabling tape recording (used by finite differences)."""
-
-    def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
-        return self
-
-    def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
-        return False
+    global _GRAD_ENABLED
+    prev, _GRAD_ENABLED = _GRAD_ENABLED, False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = prev
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -107,23 +104,22 @@ class Tensor:
             raise GradError(
                 f"backward requires a scalar loss, got shape {self.shape}")
         topo: list[Tensor] = []
-        seen: set[int] = set()
+        seen: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
                 topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+            elif node not in seen:
+                seen.add(node)
+                stack.append((node, True))
+                # a parent without requires_grad has no parents: leaving it
+                # out keeps the post-order, so gradients sum in the same order
+                stack.extend((p, False) for p in node._parents
+                             if p.requires_grad and p not in seen)
+        grads: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
         for node in reversed(topo):
-            g = grads.pop(id(node), None)
+            g = grads.pop(node, None)
             if g is None:
                 continue
             if node._vjp is None:
@@ -133,11 +129,7 @@ class Tensor:
             for parent, pg in zip(node._parents, node._vjp(g)):
                 if pg is None or not parent.requires_grad:
                     continue
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pg
-                else:
-                    grads[key] = pg
+                grads[parent] = grads[parent] + pg if parent in grads else pg
             # release the tape entry
             node._parents = ()
             node._vjp = None
@@ -153,15 +145,9 @@ class Tensor:
                           _vjp=vjp, _op=op)
         return Tensor(data, _op=op)
 
-    def _coerce(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return other
-        return Tensor(np.asarray(other, dtype=self.dtype))
-
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
-        other = self._coerce(other)
+    def __add__(self, other: "Tensor"):
         out = self.data + other.data
         a_shape, b_shape = self.shape, other.shape
         return Tensor._make(
@@ -169,8 +155,7 @@ class Tensor:
             lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)),
             "add")
 
-    def __mul__(self, other):
-        other = self._coerce(other)
+    def __mul__(self, other: "Tensor"):
         out = self.data * other.data
         a, b = self, other
         return Tensor._make(
@@ -198,9 +183,7 @@ class Tensor:
 
     # -- shape ops -----------------------------------------------------------
 
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, shape: tuple) -> "Tensor":
         old = self.shape
         return Tensor._make(self.data.reshape(shape), (self,),
                             lambda g: (g.reshape(old),), "reshape")
@@ -226,7 +209,7 @@ class Tensor:
 
     def mean(self, axis=None) -> "Tensor":
         n = self.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis) * (1.0 / n)
+        return self.sum(axis=axis) * Tensor(np.asarray(1.0 / n, self.dtype))
 
 
 # -- free-function primitives ------------------------------------------------

@@ -37,6 +37,8 @@ class TrainConfig:
                      "smooth_l1_beta"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must not be negative")
         if self.precision not in (32, 64):
             raise ValueError("precision must be 32 or 64")
 

@@ -136,6 +136,22 @@ class TestGoldenBytes:
             "caf5491b0c0412bed6194c28bfb62f6902160503637e70c5c3bf6415cd47cc8b")
 
 
+def edited_header(tmp_path, old: bytes, new: bytes) -> str:
+    """A saved float64 toy checkpoint whose config header has ``old``
+    replaced by ``new``."""
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, toy_model(seed=6))
+    blob = open(path, "rb").read()
+    (clen,) = struct.unpack("<I", blob[8:12])
+    header = blob[12:12 + clen]
+    assert header.count(old) == 1
+    header = header.replace(old, new)
+    bad = tmp_path / "header.ckpt"
+    bad.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header
+                    + blob[12 + clen:])
+    return str(bad)
+
+
 class TestErrors:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -171,23 +187,25 @@ class TestErrors:
         (b"heads = 2\n", b"", "missing config key 'heads'"),
         (b"heads = 2\n", b"heads = 2\nheads = 4\n",
          ":4: repeated config key 'heads'"),
+        (b"mlp_ratio = 2.0", b"mlp_ratio = nan",
+         "bad number for mlp_ratio: 'nan'"),
     ])
     def test_bad_config_header_names_file_and_key(self, tmp_path, old, new,
                                                   names):
-        path = str(tmp_path / "m.ckpt")
-        save_checkpoint(path, toy_model(seed=6))
-        blob = open(path, "rb").read()
-        (clen,) = struct.unpack("<I", blob[8:12])
-        header = blob[12:12 + clen]
-        assert header.count(old) == 1
-        header = header.replace(old, new)
-        bad = tmp_path / "header.ckpt"
-        bad.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header
-                        + blob[12 + clen:])
+        bad = edited_header(tmp_path, old, new)
         with pytest.raises(CheckpointError) as info:
-            load_checkpoint(str(bad))
-        assert str(bad) in str(info.value)
+            load_checkpoint(bad)
+        assert bad in str(info.value)
         assert names in str(info.value)
+
+    @pytest.mark.parametrize("token_dim", [b"1000000", b"1099511627776"])
+    def test_unbuildable_model_names_file(self, tmp_path, token_dim):
+        """A float64 file: building its skeleton casts and writes nothing."""
+        bad = edited_header(tmp_path, b"token_dim = 16",
+                            b"token_dim = " + token_dim)
+        with pytest.raises(CheckpointError) as info:
+            build_model(load_checkpoint(bad))
+        assert str(info.value).startswith(f"{bad}: ")
 
     def test_mixed_dtypes_name_file_and_tensor(self, tmp_path):
         model = toy_model(seed=6)

@@ -192,6 +192,12 @@ class TestExitCodes:
         (["--epochs", "three"], "bad integer for epochs: 'three'"),
         (["--base-lr", "fast"], "bad number for base_lr: 'fast'"),
         (["--normalize-scores", "maybe"], "bad boolean for normalize_scores"),
+        (["--smooth-l1-beta", "inf"], "bad number for smooth_l1_beta: 'inf'"),
+        (["--mlp-ratio", "nan"], "bad number for mlp_ratio: 'nan'"),
+        (["--base-lr", "1e999"], "bad number for base_lr: '1e999'"),
+        (["--weight-decay", "-5"], "weight_decay must not be negative"),
+        (["--bases", "0"], "bases must be positive"),
+        (["--image-hw=-3"], "image_hw must be positive"),
     ])
     def test_invalid_config_rejected_before_work(self, capsys, tmp_path,
                                                  flags, message):

@@ -255,7 +255,7 @@ class TestDecoderGradients:
 
         def f():
             batch = img.reshape((1,) + img.shape)
-            diff = mdl.forward_scores(model, batch) + (-0.7)
+            diff = mdl.forward_scores(model, batch) + Tensor(np.array(-0.7))
             return (diff * diff).sum()
 
         assert grad_check(f, params, eps=1e-4) <= 1e-4

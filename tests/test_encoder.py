@@ -42,14 +42,15 @@ def composed_attention(q_in, kv_in, p, heads):
     d = D // heads
 
     def split_heads(x, m):
-        return x.reshape(B, m, heads, d).transpose(0, 2, 1, 3)
+        return x.reshape((B, m, heads, d)).transpose(0, 2, 1, 3)
 
     q = split_heads(matmul(q_in, p.wq) + p.bq, M)
     k = split_heads(matmul(kv_in, p.wk) + p.bk, Mk)
     v = split_heads(matmul(kv_in, p.wv) + p.bv, Mk)
-    scores = matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(d))
+    scale = Tensor(np.asarray(1.0 / np.sqrt(d), q_in.dtype))
+    scores = matmul(q, k.transpose(0, 1, 3, 2)) * scale
     weights = softmax_lastdim(scores)
-    ctx = matmul(weights, v).transpose(0, 2, 1, 3).reshape(B, M, D)
+    ctx = matmul(weights, v).transpose(0, 2, 1, 3).reshape((B, M, D))
     return matmul(ctx, p.wo) + p.bo, weights.data
 
 

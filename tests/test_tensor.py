@@ -232,7 +232,7 @@ class TestBackward:
 
         f = lambda x: (x * x).sum()
         g = lambda x: softmax_lastdim(x).sum(axis=-1).mean()
-        combo = lambda x: f(x) * alpha + g(x) * beta
+        combo = lambda x: f(x) * Tensor(alpha) + g(x) * Tensor(beta)
         expect = alpha * grads(f) + beta * grads(g)
         npt.assert_allclose(grads(combo), expect, atol=1e-10)
 
@@ -310,6 +310,18 @@ class TestBackward:
             y = x * x
         assert not y.requires_grad
 
+    def test_no_grad_restores_state_on_exit_and_error(self):
+        x = Tensor([1.0], requires_grad=True)
+        with pytest.raises(KeyError):
+            with no_grad():
+                raise KeyError("inside")
+        assert (x * x).requires_grad
+        with no_grad():
+            with no_grad():
+                pass
+            assert not (x * x).requires_grad
+        assert (x * x).requires_grad
+
 
 class TestGradCheck:
     def test_quadratic_near_exact(self):
@@ -378,7 +390,7 @@ class TestGradCheck:
         theta = Tensor([0.0], requires_grad=True)
 
         def f():
-            return (theta * float("nan")).sum()  # NaN at the unperturbed point
+            return (theta * Tensor(np.nan)).sum()  # NaN at the unperturbed point
 
         with pytest.raises((NonFiniteError, GradError, FloatingPointError)):
             with np.errstate(invalid="ignore", divide="ignore"):
