@@ -25,7 +25,7 @@ import numpy as np
 from .config import keys, parse, write
 from .data import atomic_write
 from .encoder import ModelConfig
-from .model import QualityTransformer, init_model
+from .model import DECODER_VARIANTS, QualityTransformer, init_model
 from .training import OptimizerState
 
 MAGIC = b"DEIQ"
@@ -200,6 +200,12 @@ def load_checkpoint(path: str) -> Checkpoint:
     return Checkpoint(path, config, tensors, OptimizerState(m, v, step))
 
 
+def _few(names: list[str], prefix: str) -> str:
+    """The first five names, prefixed, and how many more there are."""
+    more = f" and {len(names) - 5} more" if len(names) > 5 else ""
+    return f"{[prefix + k for k in names[:5]]}{more}"
+
+
 def _check_records(path: str, stored: dict[str, np.ndarray],
                    params: dict, prefix: str = "") -> None:
     """``stored`` holds one array of the shape of each of ``params`` (tensors
@@ -207,9 +213,8 @@ def _check_records(path: str, stored: dict[str, np.ndarray],
     missing = sorted(params.keys() - stored.keys())
     extra = sorted(stored.keys() - params.keys())
     if missing or extra:
-        raise CheckpointError(
-            f"{path}: tensor name mismatch: missing="
-            f"{[prefix + k for k in missing]} extra={[prefix + k for k in extra]}")
+        raise CheckpointError(f"{path}: tensor name mismatch: missing="
+                              f"{_few(missing, prefix)} extra={_few(extra, prefix)}")
     for name, p in params.items():
         if stored[name].shape != p.shape:
             raise CheckpointError(
@@ -222,8 +227,25 @@ class _NoDraws:
     trunc_normal = staticmethod(np.zeros)
 
 
+def _check_depths(ckpt: Checkpoint) -> None:
+    """The header's depths count the blocks its records hold, so a rewritten
+    depth fails before ``init_model`` builds a block for each."""
+    cfg = ckpt.config
+    checks = [("encoder_depth", "enc_blocks.")]
+    if cfg.variant in DECODER_VARIANTS:
+        checks.append(("decoder_depth", "cross_blocks."))
+    for key, prefix in checks:
+        depth = getattr(cfg, key)
+        blocks = {name[len(prefix):].split(".")[0] for name in ckpt.tensors
+                  if name.startswith(prefix)}
+        if len(blocks) != depth:
+            raise CheckpointError(f"{ckpt.path}: header {key} = {depth}, but "
+                                  f"its records hold {len(blocks)} {prefix[:-1]}")
+
+
 def build_model(ckpt: Checkpoint) -> QualityTransformer:
     """Reconstruct the model from a checkpoint, in the dtype of its tensors."""
+    _check_depths(ckpt)
     try:   # in float64, so nothing is cast or written before the check
         model = init_model(ckpt.config, _NoDraws())
     except (MemoryError, ValueError) as exc:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .tensor import Rng
 
@@ -59,6 +58,34 @@ class Manifest:
         return out
 
 
+def _gaussian_blur(x: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian blur of each 2-D slice over the last two axes, bit for bit
+    ``scipy.ndimage.gaussian_filter(slice, sigma)``: axis -2 then -1,
+    ``reflect`` edges repeated when the kernel outgrows the image, radius
+    ``int(4 sigma + 0.5)``, and the taps of the symmetric kernel summed
+    farthest first, in the order of scipy's C loop."""
+    radius = int(4.0 * sigma + 0.5)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    w = w / w.sum()
+    for axis in (x.ndim - 2, x.ndim - 1):
+        n = x.shape[axis]
+        idx = np.arange(-radius, n + radius) % (2 * n)   # dcba|abcd|dcba
+        padded = np.take(x, np.minimum(idx, 2 * n - 1 - idx), axis=axis)
+        head = (slice(None),) * axis
+
+        def tap(k):   # the padded line shifted k - radius along the axis
+            return padded[head + (slice(k, k + n),)]
+
+        out = tap(radius) * w[radius]
+        pair = np.empty_like(out)
+        for j in range(radius, 0, -1):
+            np.add(tap(radius - j), tap(radius + j), out=pair)
+            pair *= w[radius - j]
+            out += pair
+        x = out
+    return x
+
+
 def gen_base_images(count: int, hw: int, rng: Rng) -> list[np.ndarray]:
     """Procedural pristine images: gradient + shapes + band-limited texture."""
     if count < 1:
@@ -82,8 +109,8 @@ def gen_base_images(count: int, hw: int, rng: Rng) -> list[np.ndarray]:
                 mask = (np.abs(yy - cy) < r) & (np.abs(xx - cx) < r)
             for c in range(3):
                 img[c][mask] = 0.6 * img[c][mask] + 0.4 * color[c]
-        texture = gaussian_filter(rng.normal((hw, hw)),
-                                  sigma=float(rng.uniform((), 0.8, 2.5)))
+        texture = _gaussian_blur(rng.normal((hw, hw)),
+                                 float(rng.uniform((), 0.8, 2.5)))
         img += 0.35 * texture / max(np.abs(texture).max(), 1e-9)
         images.append(np.clip(img, 0.0, 1.0))
     return images
@@ -99,7 +126,7 @@ def apply_distortion(image: np.ndarray, kind: str, level: int,
     if level == 0:
         return image
     if kind == "gaussian_blur":
-        out = np.stack([gaussian_filter(ch, sigma=0.8 * level) for ch in image])
+        out = _gaussian_blur(image, 0.8 * level)
     elif kind == "white_noise":
         out = image + rng.normal(image.shape, std=0.06 * level)
     elif kind == "contrast_reduction":

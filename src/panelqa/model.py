@@ -20,6 +20,10 @@ from .encoder import EmbeddingParams, EncoderBlockParams, ModelConfig
 from .tensor import Rng, ShapeError, Tensor, no_grad
 
 
+# the variants with a query block and ``decoder_depth`` cross blocks
+DECODER_VARIANTS = ("full", "decoder_random_queries", "decoder_cls_queries")
+
+
 @dataclass(kw_only=True)
 class QualityTransformer:
     """The parts present define the variant (see ``forward_panel``);
@@ -68,7 +72,7 @@ def init_model(config: ModelConfig, rng: Rng, dtype=np.float64) -> QualityTransf
         parts["panel"] = dec.init_panel(config, rng)
     if v == "decoder_random_queries":
         parts["random_queries"] = dec.init_panel(config, rng)
-    if v in ("full", "decoder_random_queries", "decoder_cls_queries"):
+    if v in DECODER_VARIANTS:
         parts["query_block"] = dec.init_query_block(config, rng)
         parts["cross_blocks"] = [dec.init_cross_block(config, rng)
                                  for _ in range(config.decoder_depth)]

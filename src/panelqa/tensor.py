@@ -231,9 +231,10 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
     def vjp(g):
         if b.ndim == 2:
-            # weight gradient as one GEMM: fold the leading axes into rows
+            # weight gradient as one GEMM: fold the leading axes into rows;
+            # no input gradient when `a` needs none, as for image patches
             g2 = g.reshape(-1, g.shape[-1])
-            ga = (g2 @ b.data.T).reshape(a.shape)
+            ga = (g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None
             gb = a.data.reshape(-1, a.shape[-1]).T @ g2
             return (ga, gb, g2.sum(axis=0))
         ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)

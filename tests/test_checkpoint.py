@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -206,6 +207,24 @@ class TestErrors:
         with pytest.raises(CheckpointError) as info:
             build_model(load_checkpoint(bad))
         assert str(info.value).startswith(f"{bad}: ")
+
+    @pytest.mark.parametrize("old,new,key", [
+        (b"encoder_depth = 2", b"encoder_depth = 20000", "encoder_depth"),
+        (b"encoder_depth = 2", b"encoder_depth = 1", "encoder_depth"),
+        (b"decoder_depth = 1", b"decoder_depth = 20000", "decoder_depth"),
+    ])
+    def test_depth_checked_before_building(self, tmp_path, old, new, key):
+        """A rewritten depth fails at once, not after building every block,
+        and the message stays short."""
+        bad = edited_header(tmp_path, old, new)
+        ckpt = load_checkpoint(bad)
+        start = time.perf_counter()
+        with pytest.raises(CheckpointError) as info:
+            build_model(ckpt)
+        assert time.perf_counter() - start < 0.5
+        message = str(info.value)
+        assert message.startswith(f"{bad}: header {key} = ")
+        assert len(message) < 1024
 
     def test_mixed_dtypes_name_file_and_tensor(self, tmp_path):
         model = toy_model(seed=6)
@@ -450,6 +469,15 @@ class TestRecordErrorsNameTheFile:
                            ) as info:
             build_model(ckpt)
         assert str(info.value).startswith(f"{saved}: ")
+
+    def test_long_name_mismatch_is_capped(self, saved):
+        ckpt = load_checkpoint(saved)
+        ckpt.tensors.update((f"stray.{i:03d}", np.zeros(1)) for i in range(500))
+        with pytest.raises(CheckpointError) as info:
+            build_model(ckpt)
+        assert str(info.value) == (
+            f"{saved}: tensor name mismatch: missing=[] extra=['stray.000', "
+            f"'stray.001', 'stray.002', 'stray.003', 'stray.004'] and 495 more")
 
     def test_shape_mismatch(self, saved):
         ckpt = load_checkpoint(saved)

@@ -1,6 +1,9 @@
+import hashlib
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -121,7 +124,47 @@ class TestDistortions:
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
+class TestGaussianBlur:
+    @pytest.mark.parametrize("hw", [1, 2, 3, 8, 24, 64])
+    def test_matches_scipy_bit_for_bit(self, hw):
+        """Radius int(4 sigma + 0.5) runs from 3 to 13, so the kernel
+        outgrows the smaller images and the reflection repeats."""
+        ndimage = pytest.importorskip("scipy.ndimage")
+        rng = np.random.default_rng(hw)
+        for sigma in (0.8, 1.3, 1.6, 2.4, 3.2):
+            for shape in ((hw, hw), (hw, 2 * hw + 1)):
+                plane = rng.normal(size=shape)
+                npt.assert_array_equal(data._gaussian_blur(plane, sigma),
+                                       ndimage.gaussian_filter(plane, sigma))
+            stack = rng.uniform(size=(3, hw, hw))
+            npt.assert_array_equal(
+                data._gaussian_blur(stack, sigma),
+                np.stack([ndimage.gaussian_filter(ch, sigma) for ch in stack]))
+
+    def test_cli_import_leaves_scipy_out(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(data.__file__)))
+        code = "import sys, panelqa.cli; print('scipy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "False\n"
+
+
 class TestSyntheticDataset:
+    @pytest.mark.parametrize("hw,digest", [
+        (6, "131efcd1e7d22b73d343cd8a602a5fab9473055094d147a7a9c1f12be7a1a0ac"),
+        (16, "83ebc4623343c9811d5b26c8dd7d35c104ee7882c0b3468f6de36494cc82f55b"),
+    ])
+    def test_golden_image_bytes(self, hw, digest):
+        """Every kind at 4 levels; at hw = 6 the blur radius (up to 10)
+        exceeds the image. The digests date from the scipy filter."""
+        m = gen_synthetic_dataset(2, 4, data.DISTORTION_KINDS,
+                                  Rng(("golden", hw)), hw=hw)
+        h = hashlib.sha256()
+        for s in m:
+            h.update(s.image_ref.tobytes())
+        assert (len(m), h.hexdigest()) == (32, digest)
+
     def test_product_count(self):
         m = gen_synthetic_dataset(10, 5, ["gaussian_blur"], Rng(10), hw=32)
         assert len(m) == 50

@@ -107,6 +107,21 @@ class TestMatmulBias:
         for got, want in zip(*results):
             assert np.max(np.abs(got - want)) <= 1e-12
 
+    def test_input_without_grad_gets_no_gradient_product(self):
+        """Only the weight and bias gradients are computed for a constant
+        input, and they equal those of an input that needs a gradient."""
+        rng = Rng(25)
+        a0, w0, b0 = rng.normal((2, 3, 4)), rng.normal((4, 6)), rng.normal((6,))
+        g = rng.normal((2, 3, 6))
+        grads = []
+        for needs in (False, True):
+            a = Tensor(a0, requires_grad=needs)
+            w, b = Tensor(w0, requires_grad=True), Tensor(b0, requires_grad=True)
+            grads.append(matmul(a, w, b)._vjp(g))
+        assert grads[0][0] is None and grads[1][0] is not None
+        for got, want in zip(grads[0][1:], grads[1][1:]):
+            npt.assert_array_equal(got, want)
+
     def test_bias_needs_2d_weight_and_matching_width(self):
         a = Tensor(np.ones((2, 3, 4)))
         with pytest.raises(ShapeError):
