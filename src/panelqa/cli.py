@@ -88,12 +88,27 @@ def build_run_config(args: argparse.Namespace, ckpt=None) -> RunConfig:
                  train=build(TrainConfig, values))
 
 
+def _read_scored(path: str) -> dat.Manifest:
+    """The manifest at ``path``, with the n >= 2 that `evaluate` needs."""
+    manifest = dat.read_manifest(path)
+    if len(manifest) < 2:
+        raise ValueError(f"{path}: evaluate needs a manifest with n >= 2")
+    return manifest
+
+
 def _check_crop_fits(hw: int, *manifests) -> None:
     """Every image of the manifests holds an ``hw`` x ``hw`` crop."""
     for s in (x for m in manifests if m is not None for x in m):
-        _, h, w = dat.load_image(s).shape
-        if h < hw or w < hw:
-            raise ValueError(f"{s.image_ref}: image {h}x{w} smaller than crop {hw}")
+        _read_image(s.image_ref, hw)
+
+
+def _read_image(path: str, hw: int) -> np.ndarray:
+    """The image file at ``path``, which must hold an ``hw`` x ``hw`` crop."""
+    image = dat.read_image(path)
+    _, h, w = image.shape
+    if h < hw or w < hw:
+        raise ValueError(f"{path}: image {h}x{w} smaller than crop {hw}")
+    return image
 
 
 def _prepare_out(cfg: RunConfig, out_dir: str) -> str:
@@ -118,13 +133,8 @@ def cmd_gen_data(cfg: RunConfig, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, args, ckpt=None, model=None) -> int:
-    manifest = dat.read_manifest(args.manifest)
-    test_manifest = (dat.read_manifest(args.test_manifest)
-                     if args.test_manifest else None)
-    for path, data in ((args.manifest, manifest),
-                       (args.test_manifest, test_manifest)):
-        if data is not None and len(data) < 2:
-            raise ValueError(f"{path}: evaluate needs a manifest with n >= 2")
+    manifest = _read_scored(args.manifest)
+    test_manifest = _read_scored(args.test_manifest) if args.test_manifest else None
     if ckpt is None:
         model = init_model(cfg.model, Rng(("model", cfg.train.seed)),
                            dtype=cfg.train.dtype)
@@ -146,7 +156,7 @@ def cmd_train(cfg: RunConfig, args, ckpt=None, model=None) -> int:
 
 
 def cmd_eval(cfg: RunConfig, args, ckpt, model) -> int:
-    manifest = dat.read_manifest(args.manifest)
+    manifest = _read_scored(args.manifest)
     _check_crop_fits(cfg.model.crop_hw, manifest)
     report = evaluate(model, manifest, crops_per_image=cfg.eval_crops,
                       seed=cfg.train.seed)
@@ -160,6 +170,8 @@ def cmd_eval(cfg: RunConfig, args, ckpt, model) -> int:
 
 def cmd_protocol(cfg: RunConfig, args) -> int:
     manifest = dat.read_manifest(args.manifest)
+    if len(manifest.groups()) < 2:
+        raise ValueError(f"{args.manifest}: need at least 2 groups to split")
     _check_crop_fits(cfg.model.crop_hw, manifest)
     report = proto.PROTOCOLS[cfg.mode](
         manifest, cfg.model, cfg.train, repeats=cfg.repeats,
@@ -189,6 +201,7 @@ def cmd_gradcheck(cfg: RunConfig, args) -> int:
 
 def cmd_panel_sim(cfg: RunConfig, args, ckpt, model) -> int:
     manifest = dat.read_manifest(args.manifest)
+    _check_crop_fits(cfg.model.crop_hw, manifest)
     diag = panel_cosine(model, manifest)
     out = _prepare_out(cfg, args.out)
     diag.write(os.path.join(out, "panel.txt"))
@@ -200,7 +213,7 @@ def cmd_panel_sim(cfg: RunConfig, args, ckpt, model) -> int:
 
 
 def cmd_attn_map(cfg: RunConfig, args, ckpt, model) -> int:
-    image = dat.read_image(args.image)
+    image = _read_image(args.image, model.config.crop_hw)
     amap = attention_map(model, Tensor(center_crop(image, model.config.crop_hw)))
     out = _prepare_out(cfg, args.out)
     svg_heatmap(os.path.join(out, "attn.svg"), amap, title="quality attention")

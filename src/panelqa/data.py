@@ -117,10 +117,10 @@ def gen_base_images(count: int, hw: int, rng: Rng) -> list[np.ndarray]:
 
 
 def apply_distortion(image: np.ndarray, kind: str, level: int,
-                     rng: Rng) -> np.ndarray:
+                     rng: Optional[Rng]) -> np.ndarray:
     """Degrade an image; level 0 is exactly the identity, higher levels are
-    strictly stronger. Blockiness sets every 2*level block of the image,
-    edge-padded to whole blocks, to its mean. Output clamped to [0, 1]."""
+    strictly stronger; only white noise draws from `rng`. Blockiness sets each
+    2*level block, edge-padded to whole blocks, to its mean. Clipped to [0, 1]."""
     if kind not in DISTORTION_KINDS:
         raise ValueError(f"unknown distortion kind {kind!r}")
     if level == 0:
@@ -161,7 +161,8 @@ def gen_synthetic_dataset(n_base: int, levels: int, kinds: Sequence[str],
     for bi, base in enumerate(bases):
         for kind in kinds:
             for level in range(levels):
-                img = apply_distortion(base, kind, level, rng.child(1, bi, level))
+                img = apply_distortion(base, kind, level, rng.child(1, bi, level)
+                                       if kind == "white_noise" else None)
                 samples.append(Sample(
                     image_ref=img,
                     score=1.0 - level / (levels - 1),

@@ -174,7 +174,7 @@ def _prepend_cls(cls: Tensor, rest: Tensor) -> Tensor:
     def vjp(g):
         return (g[:, 0].sum(axis=0, keepdims=True), g[:, 1:])
 
-    return Tensor._make(out, (cls, rest), vjp, "concat")
+    return Tensor._make(out, (cls, rest), vjp)
 
 
 def _heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -249,7 +249,7 @@ def attention(q_in: Tensor, kv_in: Tensor, params: AttentionParams,
 
     out = Tensor._make(ctx @ p.wo.data + p.bo.data,
                        (q_in, kv_in, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv,
-                        p.wo, p.bo), vjp, "attention")
+                        p.wo, p.bo), vjp)
     if return_weights:
         return out, wgt.copy()
     return out

@@ -31,7 +31,7 @@ _GRAD_ENABLED = True
 
 @contextmanager
 def no_grad():
-    """Context manager disabling tape recording (used by finite differences)."""
+    """Turns tape recording off (finite differences, `evaluate`, `predict`)."""
     global _GRAD_ENABLED
     prev, _GRAD_ENABLED = _GRAD_ENABLED, False
     try:
@@ -54,20 +54,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """N-dimensional row-major array, optionally participating in gradients."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad: bool = False,
-                 _parents: tuple = (), _vjp: Optional[Callable] = None,
-                 _op: str = "leaf"):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        self._parents = _parents
-        self._vjp = _vjp
-        self._op = _op
+        self._parents: tuple = ()
+        self._vjp: Optional[Callable] = None
 
     # -- basic introspection -------------------------------------------------
 
@@ -138,22 +135,21 @@ class Tensor:
 
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"],
-              vjp: Callable, op: str) -> "Tensor":
-        req = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        if req:
-            return Tensor(data, requires_grad=True, _parents=tuple(parents),
-                          _vjp=vjp, _op=op)
-        return Tensor(data, _op=op)
+              vjp: Callable) -> "Tensor":
+        """One op's output, on the tape if a parent requires gradients. The
+        vjp names the op: ``vjp.__qualname__.split(".<locals>")[0]``."""
+        out = Tensor(data)
+        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+            out.requires_grad, out._parents, out._vjp = True, tuple(parents), vjp
+        return out
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Tensor"):
         out = self.data + other.data
         a_shape, b_shape = self.shape, other.shape
-        return Tensor._make(
-            out, (self, other),
-            lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)),
-            "add")
+        return Tensor._make(out, (self, other), lambda g: (
+            _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)))
 
     def __mul__(self, other: "Tensor"):
         out = self.data * other.data
@@ -161,8 +157,7 @@ class Tensor:
         return Tensor._make(
             out, (a, b),
             lambda g: (_unbroadcast(g * b.data, a.shape),
-                       _unbroadcast(g * a.data, b.shape)),
-            "mul")
+                       _unbroadcast(g * a.data, b.shape)))
 
     def __getitem__(self, key):
         """Basic indexing by ints and slices only. Such a key never selects
@@ -178,21 +173,19 @@ class Tensor:
             full[key] = g
             return (full,)
 
-        return Tensor._make(np.ascontiguousarray(self.data[key]), (self,), vjp,
-                            "slice")
+        return Tensor._make(np.ascontiguousarray(self.data[key]), (self,), vjp)
 
     # -- shape ops -----------------------------------------------------------
 
     def reshape(self, shape: tuple) -> "Tensor":
         old = self.shape
         return Tensor._make(self.data.reshape(shape), (self,),
-                            lambda g: (g.reshape(old),), "reshape")
+                            lambda g: (g.reshape(old),))
 
     def transpose(self, *axes) -> "Tensor":
         inv = np.argsort(axes)
         return Tensor._make(np.ascontiguousarray(self.data.transpose(axes)),
-                            (self,),
-                            lambda g: (g.transpose(inv),), "transpose")
+                            (self,), lambda g: (g.transpose(inv),))
 
     # -- reductions ----------------------------------------------------------
 
@@ -205,7 +198,7 @@ class Tensor:
                 g = np.expand_dims(g, axis)
             return (np.broadcast_to(g, src_shape).copy(),)
 
-        return Tensor._make(np.asarray(out), (self,), vjp, "sum")
+        return Tensor._make(np.asarray(out), (self,), vjp)
 
     def mean(self, axis=None) -> "Tensor":
         n = self.size if axis is None else self.shape[axis]
@@ -242,7 +235,7 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         return (ga, gb)
 
     parents = (a, b) if bias is None else (a, b, bias)
-    return Tensor._make(out, parents, vjp, "matmul")
+    return Tensor._make(out, parents, vjp)
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:
@@ -255,7 +248,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
         dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
-    return Tensor._make(y, (x,), vjp, "softmax")
+    return Tensor._make(y, (x,), vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -283,8 +276,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         dx *= inv
         return (dx.reshape(x.shape), ones @ gx, ones @ g2)
 
-    return Tensor._make(out.reshape(x.shape), (x, gain, bias), vjp,
-                        "layer_norm")
+    return Tensor._make(out.reshape(x.shape), (x, gain, bias), vjp)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -317,7 +309,7 @@ def gelu(x: Tensor) -> Tensor:
         d *= g
         return (d,)
 
-    return Tensor._make(out, (x,), vjp, "gelu")
+    return Tensor._make(out, (x,), vjp)
 
 
 # -- deterministic random numbers --------------------------------------------

@@ -62,7 +62,7 @@ def smooth_l1(pred: Tensor, target: Tensor, beta: float = 1.0) -> Tensor:
         d = np.where(inner, diff / beta, np.sign(diff)) * (g / n)
         return (d, -d)
 
-    return Tensor._make(out, (pred, target), vjp, "smooth_l1")
+    return Tensor._make(out, (pred, target), vjp)
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:

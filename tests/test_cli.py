@@ -447,6 +447,14 @@ class TestInputsCheckedFirst:
         pytest.param(["protocol", "--manifest", "{data8}"],
                      "img00000.ppm: image 8x8 smaller than crop 12",
                      id="protocol-small-images"),
+        pytest.param(["panel-sim", "--checkpoint", "{ckpt}",
+                      "--manifest", "{data8}"],
+                     "img00000.ppm: image 8x8 smaller than crop 12",
+                     id="panel-sim-small-images"),
+        pytest.param(["attn-map", "--checkpoint", "{ckpt}",
+                      "--image", "{image8}"],
+                     "ValueError: {image8}: image 8x8 smaller than crop 12",
+                     id="attn-map-small-image"),
         pytest.param(["gen-data", "--kinds", ","], "kinds is empty",
                      id="gen-data-no-kinds"),
         pytest.param(["train", "--manifest", "{empty}"],
@@ -460,8 +468,15 @@ class TestInputsCheckedFirst:
                       "--manifest", "{empty}"],
                      "empty.csv: manifest has no rows", id="panel-sim-empty"),
         pytest.param(["protocol", "--manifest", "{rows:2}"],
-                     "need at least 2 groups to split",
+                     "rows2.csv: need at least 2 groups to split",
                      id="protocol-one-group"),
+        pytest.param(["protocol", "--manifest", "{rows:1}"],
+                     "rows1.csv: need at least 2 groups to split",
+                     id="protocol-one-row"),
+        pytest.param(["eval", "--checkpoint", "{ckpt}",
+                      "--manifest", "{rows:1}"],
+                     "rows1.csv: evaluate needs a manifest with n >= 2",
+                     id="eval-one-row"),
         pytest.param(["train", "--manifest", "{rows:1}"],
                      "rows1.csv: evaluate needs a manifest with n >= 2",
                      id="train-one-row"),
@@ -497,11 +512,12 @@ class TestInputsCheckedFirst:
                 del state.v["panel"]
                 names[a] = str(tmp_path / "no-opt-v.ckpt")
                 save_checkpoint(names[a], model, optimizer=state)
-            elif a == "{data8}":   # images smaller than the toy crop_hw
+            elif a in ("{data8}", "{image8}"):   # smaller than the toy crop_hw
                 data8 = str(tmp_path / "data8")
                 assert main(["gen-data", "--config", toy_cfg_file,
                              "--image-hw", "8", "--out", data8]) == 0
-                names[a] = os.path.join(data8, "manifest.csv")
+                names["{data8}"] = os.path.join(data8, "manifest.csv")
+                names["{image8}"] = os.path.join(data8, "img00000.ppm")
             elif a == "{empty}":   # a header and no rows
                 names[a] = str(tmp_path / "empty.csv")
                 (tmp_path / "empty.csv").write_text("path,score,group\n")
@@ -519,7 +535,8 @@ class TestInputsCheckedFirst:
                     + ["--config", toy_cfg_file, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert message.replace("{ckpt}", ckpt32) in err
+        assert message.replace("{ckpt}", ckpt32).replace(
+            "{image8}", names.get("{image8}", "")) in err
         assert not out.exists()
 
     def test_resume_float32_without_config_or_precision(self, tmp_path,

@@ -165,6 +165,22 @@ class TestSyntheticDataset:
             h.update(s.image_ref.tobytes())
         assert (len(m), h.hexdigest()) == (32, digest)
 
+    def test_generator_only_for_white_noise(self, monkeypatch):
+        """Only white noise draws, so only its samples get a child generator;
+        the images match a loop that builds one for every sample."""
+        rng = Rng(("children", 0))
+        bases = gen_base_images(3, 16, rng.child(0))
+        want = [apply_distortion(base, kind, level, rng.child(1, bi, level))
+                for bi, base in enumerate(bases)
+                for kind in data.DISTORTION_KINDS for level in range(4)]
+        keys, child = [], Rng.child
+        monkeypatch.setattr(
+            Rng, "child", lambda self, *key: keys.append(key) or child(self, *key))
+        m = gen_synthetic_dataset(3, 4, data.DISTORTION_KINDS, rng, hw=16)
+        assert [s.image_ref.tobytes() for s in m] == [x.tobytes() for x in want]
+        assert keys == [(0,)] + [(1, bi, level) for bi in range(3)
+                                 for level in range(4)]
+
     def test_product_count(self):
         m = gen_synthetic_dataset(10, 5, ["gaussian_blur"], Rng(10), hw=32)
         assert len(m) == 50

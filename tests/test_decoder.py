@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
@@ -166,13 +167,18 @@ class TestTapeNodes:
         make = Tensor._make
 
         def counting(*args, **kwargs):
-            made.append(args[3])
+            # an op is named by its vjp
+            made.append(args[2].__qualname__.split(".<locals>")[0])
             return make(*args, **kwargs)
 
         monkeypatch.setattr(Tensor, "_make", staticmethod(counting))
         mdl.forward_panel(model, Tensor(np.zeros((2, 3, 16, 16), np.float32)))
         assert len(made) == 54
         assert made.count("attention") == 4 + 1 + 1
+        assert Counter(made) == {
+            "matmul": 13, "Tensor.__add__": 12, "layer_norm": 10,
+            "attention": 6, "gelu": 6, "Tensor.reshape": 3,
+            "Tensor.__getitem__": 2, "Tensor.transpose": 1, "_prepend_cls": 1}
 
 
 class TestVariants:

@@ -13,8 +13,9 @@ one line, marked ``(perfbench wraps it)`` when the benchmark's tracer
 (``tracing.TARGETS``) wraps it, so it stays until the benchmark drops that
 wrap. Input checks that only a malformed input reaches, and helpers that
 only the tests call, are listed too: the sweep finds candidates, and reading
-the code decides what is dead. It takes a few seconds and is not part of the
-test suite.
+the code decides what is dead. Last it prints the package's size, the
+non-blank lines of ``src/panelqa/*.py``. It takes a few seconds and is not
+part of the test suite.
 """
 from __future__ import annotations
 
@@ -192,13 +193,17 @@ def main() -> int:
         finally:
             sys.settrace(None)
             os.chdir(cwd)
-    wrapped = traced()
+    wrapped, nonblank = traced(), 0
     for module in sorted(os.listdir(PKG)):
         if module.endswith(".py"):
-            lines = report(os.path.join(PKG, module), wrapped)
+            path = os.path.join(PKG, module)
+            lines = report(path, wrapped)
             print(module + (":" if lines else ": every statement ran"))
             for line in lines:
                 print(line)
+            with open(path, encoding="utf-8") as fh:
+                nonblank += sum(1 for row in fh if row.strip())
+    print(f"# {nonblank} non-blank lines in src/panelqa/*.py")
     print(f"# swept in {time.perf_counter() - t0:.1f} s", file=sys.stderr)
     return 0
 
