@@ -88,26 +88,28 @@ def build_run_config(args: argparse.Namespace, ckpt=None) -> RunConfig:
                  train=build(TrainConfig, values))
 
 
-def _read_scored(path: str) -> dat.Manifest:
-    """The manifest at ``path``, with the n >= 2 that `evaluate` needs."""
+def _read_manifest(path: str, mc: ModelConfig, scored: bool) -> dat.Manifest:
+    """The manifest at ``path``, each image checked by `_read_image`; a
+    ``scored`` one needs the n >= 2 and two distinct scores of `evaluate`."""
     manifest = dat.read_manifest(path)
-    if len(manifest) < 2:
+    if scored and len(manifest) < 2:
         raise ValueError(f"{path}: evaluate needs a manifest with n >= 2")
+    if scored and np.ptp(manifest.scores()) == 0:
+        raise ValueError(f"{path}: evaluate needs two distinct scores")
+    for s in manifest:
+        _read_image(s.image_ref, mc)
     return manifest
 
 
-def _check_crop_fits(hw: int, *manifests) -> None:
-    """Every image of the manifests holds an ``hw`` x ``hw`` crop."""
-    for s in (x for m in manifests if m is not None for x in m):
-        _read_image(s.image_ref, hw)
-
-
-def _read_image(path: str, hw: int) -> np.ndarray:
-    """The image file at ``path``, which must hold an ``hw`` x ``hw`` crop."""
+def _read_image(path: str, mc: ModelConfig) -> np.ndarray:
+    """The image file at ``path``, in the model's channels and holding its crop."""
     image = dat.read_image(path)
-    _, h, w = image.shape
-    if h < hw or w < hw:
-        raise ValueError(f"{path}: image {h}x{w} smaller than crop {hw}")
+    c, h, w = image.shape
+    if c != mc.channels:
+        raise ValueError(f"{path}: image has {c} channels, the model takes "
+                         f"{mc.channels}")
+    if h < mc.crop_hw or w < mc.crop_hw:
+        raise ValueError(f"{path}: image {h}x{w} smaller than crop {mc.crop_hw}")
     return image
 
 
@@ -133,15 +135,15 @@ def cmd_gen_data(cfg: RunConfig, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, args, ckpt=None, model=None) -> int:
-    manifest = _read_scored(args.manifest)
-    test_manifest = _read_scored(args.test_manifest) if args.test_manifest else None
+    manifest = _read_manifest(args.manifest, cfg.model, scored=True)
+    test_manifest = (_read_manifest(args.test_manifest, cfg.model, scored=True)
+                     if args.test_manifest else None)
     if ckpt is None:
         model = init_model(cfg.model, Rng(("model", cfg.train.seed)),
                            dtype=cfg.train.dtype)
     elif ckpt.optimizer is None:
         raise CheckpointError(f"{ckpt.path}: checkpoint carries no optimizer state")
     state = ckpt.optimizer if ckpt else OptimizerState.init(model.named_parameters())
-    _check_crop_fits(cfg.model.crop_hw, manifest, test_manifest)
     out = _prepare_out(cfg, args.out)
     log = fit(model, manifest, cfg.train, state=state)
     log.write(os.path.join(out, "train.log"))
@@ -156,8 +158,7 @@ def cmd_train(cfg: RunConfig, args, ckpt=None, model=None) -> int:
 
 
 def cmd_eval(cfg: RunConfig, args, ckpt, model) -> int:
-    manifest = _read_scored(args.manifest)
-    _check_crop_fits(cfg.model.crop_hw, manifest)
+    manifest = _read_manifest(args.manifest, cfg.model, scored=True)
     report = evaluate(model, manifest, crops_per_image=cfg.eval_crops,
                       seed=cfg.train.seed)
     out = _prepare_out(cfg, args.out)
@@ -169,10 +170,9 @@ def cmd_eval(cfg: RunConfig, args, ckpt, model) -> int:
 
 
 def cmd_protocol(cfg: RunConfig, args) -> int:
-    manifest = dat.read_manifest(args.manifest)
+    manifest = _read_manifest(args.manifest, cfg.model, scored=False)
     if len(manifest.groups()) < 2:
         raise ValueError(f"{args.manifest}: need at least 2 groups to split")
-    _check_crop_fits(cfg.model.crop_hw, manifest)
     report = proto.PROTOCOLS[cfg.mode](
         manifest, cfg.model, cfg.train, repeats=cfg.repeats,
         eval_crops=cfg.eval_crops, train_frac=cfg.train_frac)
@@ -200,8 +200,7 @@ def cmd_gradcheck(cfg: RunConfig, args) -> int:
 
 
 def cmd_panel_sim(cfg: RunConfig, args, ckpt, model) -> int:
-    manifest = dat.read_manifest(args.manifest)
-    _check_crop_fits(cfg.model.crop_hw, manifest)
+    manifest = _read_manifest(args.manifest, cfg.model, scored=False)
     diag = panel_cosine(model, manifest)
     out = _prepare_out(cfg, args.out)
     diag.write(os.path.join(out, "panel.txt"))
@@ -213,7 +212,7 @@ def cmd_panel_sim(cfg: RunConfig, args, ckpt, model) -> int:
 
 
 def cmd_attn_map(cfg: RunConfig, args, ckpt, model) -> int:
-    image = _read_image(args.image, model.config.crop_hw)
+    image = _read_image(args.image, model.config)
     amap = attention_map(model, Tensor(center_crop(image, model.config.crop_hw)))
     out = _prepare_out(cfg, args.out)
     svg_heatmap(os.path.join(out, "attn.svg"), amap, title="quality attention")

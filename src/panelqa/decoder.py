@@ -81,8 +81,6 @@ def cross_attend(queries: Tensor, patch_feats: Tensor, block: CrossBlockParams,
     """One decoder layer: MHCA of normed (B, L, D) queries over (B, N, D)
     patch features, residual, then the MLP. Returns (output, per-head
     attention weights (B,h,L,N))."""
-    if patch_feats.shape[-2] == 0:
-        raise ValueError("cross_attend requires at least one patch feature")
     attended, weights = attention(
         layer_norm(queries, block.lnq_gain, block.lnq_bias), patch_feats,
         block.attn, heads, return_weights=True)

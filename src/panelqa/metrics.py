@@ -157,7 +157,7 @@ class GradHistogram:
 def cls_grad_stats(log: TrainLog, bins: int = 51) -> list[GradHistogram]:
     """Per-step histograms of the CLS-token parameter gradient with shared
     fixed bin edges, plus the per-step variance."""
-    snaps = [(r.step, r.cls_grad) for r in log.records if r.cls_grad is not None]
+    snaps = [(r.step, r.cls_grad) for r in log.records]
     if not snaps:
         raise ValueError("training log has no CLS gradient snapshots")
     lo = min(float(g.min()) for _, g in snaps)

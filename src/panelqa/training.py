@@ -130,15 +130,13 @@ class StepRecord:
     lr: float
     loss: float
     grad_norm: float
-    cls_grad: Optional[np.ndarray] = None
+    cls_grad: np.ndarray
 
     def line(self) -> str:
-        extra = ""
-        if self.cls_grad is not None:
-            extra = (f" cls_grad_mean={self.cls_grad.mean():.9e}"
-                     f" cls_grad_var={self.cls_grad.var():.9e}")
         return (f"step={self.step} epoch={self.epoch} lr={self.lr:.6e} "
-                f"loss={self.loss:.9e} grad_norm={self.grad_norm:.9e}" + extra)
+                f"loss={self.loss:.9e} grad_norm={self.grad_norm:.9e}"
+                f" cls_grad_mean={self.cls_grad.mean():.9e}"
+                f" cls_grad_var={self.cls_grad.var():.9e}")
 
 
 @dataclass
@@ -186,15 +184,16 @@ def fit(model: QualityTransformer, manifest: Manifest, cfg: TrainConfig,
     log = TrainLog()
     if max_steps is not None and state.step >= max_steps:
         return log
+    images = [load_image(sample) for sample in manifest.samples]
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
         crop_rng = Rng(("crops", cfg.seed, epoch))
-        images = [crop for sample in manifest.samples for crop in sample_crops(
-            load_image(sample), cfg.crops_per_image, hw, crop_rng)]
-        order = Rng(("order", cfg.seed, epoch)).permutation(len(images))
+        crops = [crop for image in images for crop in sample_crops(
+            image, cfg.crops_per_image, hw, crop_rng)]
+        order = Rng(("order", cfg.seed, epoch)).permutation(len(crops))
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            batch = Tensor(np.stack([images[i] for i in idx]))
+            batch = Tensor(np.stack([crops[i] for i in idx]))
             target = Tensor(targets[idx])
             scores = forward_scores(model, batch)
             loss = smooth_l1(scores, target, beta=cfg.smooth_l1_beta)
@@ -204,8 +203,7 @@ def fit(model: QualityTransformer, manifest: Manifest, cfg: TrainConfig,
                     f"non-finite loss at step {state.step} (epoch {epoch}); "
                     f"aborting training")
             loss.backward()
-            g = model.embedding.cls_token.grad
-            cls_grad = None if g is None else g.reshape(-1).copy()
+            cls_grad = model.embedding.cls_token.grad.reshape(-1).copy()
             grad_norm = optimizer_step(params, state, lr, cfg.weight_decay)
             log.records.append(StepRecord(state.step, epoch, lr, loss_val,
                                           grad_norm, cls_grad))

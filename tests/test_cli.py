@@ -488,6 +488,18 @@ class TestInputsCheckedFirst:
                       "data-efficiency", "--train-frac", "0.5"],
                      "fraction 0.6 exceeds train_frac 0.5",
                      id="protocol-fraction-above-train-frac"),
+        pytest.param(["train", "--manifest", "{data}", "--channels", "1"],
+                     "img00000.ppm: image has 3 channels, the model takes 1",
+                     id="train-channels"),
+        pytest.param(["protocol", "--manifest", "{data}", "--channels", "1"],
+                     "img00000.ppm: image has 3 channels, the model takes 1",
+                     id="protocol-channels"),
+        pytest.param(["train", "--manifest", "{flat}"],
+                     "flat.csv: evaluate needs two distinct scores",
+                     id="train-equal-scores"),
+        pytest.param(["eval", "--checkpoint", "{ckpt}", "--manifest", "{flat}"],
+                     "flat.csv: evaluate needs two distinct scores",
+                     id="eval-equal-scores"),
     ])
     def test_failure_leaves_no_output_directory(self, capsys, tmp_path,
                                                 toy_cfg_file, toy_dataset,
@@ -529,6 +541,14 @@ class TestInputsCheckedFirst:
                                         f"rows{n}.csv")
                 with open(names[a], "w") as fh:
                     fh.writelines(head)
+            elif a == "{flat}":   # the toy manifest, every score 0.5
+                with open(toy_dataset) as fh:
+                    header, *rows = [line.split(",") for line in fh]
+                names[a] = os.path.join(os.path.dirname(toy_dataset),
+                                        "flat.csv")
+                with open(names[a], "w") as fh:
+                    fh.writelines(",".join(r) for r in [header] + [
+                        [path, "0.5", group] for path, _, group in rows])
         out = tmp_path / "o"
         capsys.readouterr()
         assert main([names.get(a, a) for a in argv]

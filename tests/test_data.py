@@ -398,7 +398,7 @@ class TestFileIO:
         assert str(info.value) == f"{tmp_path}/{message}"
 
 
-STEPS = [StepRecord(1, 0, 2e-4, 0.5, 1.25),
+STEPS = [StepRecord(1, 0, 2e-4, 0.5, 1.25, cls_grad=np.array([0.5, 0.0])),
          StepRecord(2, 0, 2e-4, 0.25, 0.75, cls_grad=np.array([1.0, -2.0]))]
 REPORTS = {   # a small instance of each report
     "eval": EvalReport(0.5, -0.25, np.array([0.1, 0.7]), np.array([0.0, 1.0])),

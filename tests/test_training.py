@@ -3,9 +3,10 @@ import numpy.testing as npt
 import pytest
 
 from conftest import toy_config, toy_model
-from panelqa import training
+from panelqa import data, training
 from panelqa.checkpoint import build_model, load_checkpoint, save_checkpoint
-from panelqa.data import Manifest, Sample, gen_base_images
+from panelqa.data import (Manifest, Sample, gen_base_images, materialize,
+                          read_manifest, write_manifest)
 from panelqa.model import init_model
 from panelqa.tensor import NonFiniteError, Rng, Tensor
 from panelqa.training import (OptimizerState, TrainConfig, fit, lr_at,
@@ -299,6 +300,20 @@ class TestFit:
         assert log.records == [] and state.step == 10
         for k, p in model.named_parameters().items():
             npt.assert_array_equal(p.data, before[k])
+
+    def test_each_image_file_is_read_once_per_run(self, monkeypatch,
+                                                  tmp_path):
+        path = str(tmp_path / "m.csv")
+        write_manifest(path, materialize(tiny_manifest(), str(tmp_path)))
+        manifest = read_manifest(path)
+        calls = []
+        read = data.read_image
+        monkeypatch.setattr(data, "read_image",
+                            lambda p: calls.append(p) or read(p))
+        cfg = TrainConfig(epochs=3, batch_size=4, crops_per_image=1, seed=2)
+        log = fit(toy_model(seed=2), manifest, cfg)
+        assert len(log.records) == 3
+        assert sorted(calls) == sorted(s.image_ref for s in manifest)
 
     def test_log_serialization(self, tmp_path):
         cfg = TrainConfig(epochs=1, batch_size=8, crops_per_image=1, seed=4)

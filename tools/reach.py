@@ -43,7 +43,7 @@ decoder_depth = 1
 panel_size = 3
 mlp_ratio = 2.0
 crop_hw = 12
-epochs = 1
+epochs = 2  # so that train reads each image in more than one epoch
 batch_size = 8
 crops_per_image = 1
 bases = 4
