@@ -187,10 +187,9 @@ def cmd_gradcheck(cfg: RunConfig, args) -> int:
     model = init_model(mc, Rng(("model", seed)), dtype=np.float64)
     rng = Rng(("gradcheck", seed))
     img = Tensor(rng.uniform((1, mc.channels, mc.crop_hw, mc.crop_hw)))
-    target = Tensor(np.array([0.7]))
 
     def loss():
-        return smooth_l1(forward_scores(model, img), target,
+        return smooth_l1(forward_scores(model, img), np.array([0.7]),
                          beta=cfg.train.smooth_l1_beta)
 
     err = grad_check(loss, model.named_parameters(), eps=args.eps)

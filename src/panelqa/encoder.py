@@ -37,8 +37,10 @@ class ModelConfig:
                      "decoder_depth", "panel_size", "channels", "crop_hw"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.mlp_ratio <= 0:
-            raise ValueError("mlp_ratio must be positive")
+        if self.mlp_dim < 1:
+            raise ValueError(
+                f"mlp_ratio {self.mlp_ratio} x token_dim {self.token_dim} "
+                f"rounds to an MLP width of {self.mlp_dim}; it must be >= 1")
         if self.token_dim % self.heads != 0:
             raise ValueError(
                 f"token_dim {self.token_dim} not divisible by heads {self.heads}")
@@ -137,7 +139,7 @@ def init_embedding(cfg: ModelConfig, rng: Rng) -> EmbeddingParams:
         pos_embed=_param(rng, (cfg.num_patches + 1, D)))
 
 
-def patchify(image: Tensor, p: int) -> Tensor:
+def patchify(image: np.ndarray, p: int) -> np.ndarray:
     """Cut (B,C,H,W) images into non-overlapping p x p patches, (B, N, C*p*p).
 
     Patches are ordered row-major over the patch grid; each patch is
@@ -149,20 +151,20 @@ def patchify(image: Tensor, p: int) -> Tensor:
     if H % p != 0 or W % p != 0:
         raise ShapeError(f"image {H}x{W} not divisible by patch size {p}")
     gh, gw = H // p, W // p
-    x = image.reshape((B, C, gh, p, gw, p))
-    x = x.transpose(0, 2, 4, 1, 3, 5)        # (B, gh, gw, C, p, p)
-    return x.reshape((B, gh * gw, C * p * p))
+    x = image.reshape(B, C, gh, p, gw, p).transpose(0, 2, 4, 1, 3, 5)
+    return np.ascontiguousarray(x).reshape(B, gh * gw, C * p * p)
 
 
-def embed(image: Tensor, params: EmbeddingParams, patch_size: int) -> Tensor:
+def embed(image: np.ndarray, params: EmbeddingParams,
+          patch_size: int) -> Tensor:
     """Project (B,C,H,W) patches to tokens, prepend CLS, add position
-    embedding. Returns (B, N+1, D)."""
+    embedding. Returns (B, N+1, D); the image is data, not on the tape."""
     rows = params.patch_proj_w.shape[0]
     patches = patchify(image, patch_size)
     if patches.shape[-1] != rows:
         raise ShapeError(f"image has {image.shape[1]} channels, the patch "
                          f"projection expects {rows // patch_size ** 2}")
-    tokens = matmul(patches, params.patch_proj_w, params.patch_proj_b)
+    tokens = matmul(Tensor(patches), params.patch_proj_w, params.patch_proj_b)
     return _prepend_cls(params.cls_token, tokens) + params.pos_embed
 
 
@@ -266,7 +268,7 @@ def encoder_block(tokens: Tensor, block: EncoderBlockParams,
     return matmul(h, block.mlp_w2, block.mlp_b2) + zm
 
 
-def encode(image: Tensor, embedding: EmbeddingParams,
+def encode(image: np.ndarray, embedding: EmbeddingParams,
            blocks: list[EncoderBlockParams], heads: int,
            patch_size: int) -> Tensor:
     """Full encoder: embed then the block stack. Returns (B, N+1, D)."""

@@ -89,10 +89,8 @@ def forward_panel(model: QualityTransformer, images: Tensor):
     (B, L', D) or None, attention weight list per decoder layer).
     """
     cfg = model.config
-    if images.dtype != model.dtype:
-        images = Tensor(images.data.astype(model.dtype))
-    z = enc.encode(images, model.embedding, model.enc_blocks, cfg.heads,
-                   cfg.patch_size)
+    z = enc.encode(images.data.astype(model.dtype, copy=False),
+                   model.embedding, model.enc_blocks, cfg.heads, cfg.patch_size)
     cls = z[:, 0:1, :]            # (B, 1, D)
     patches = z[:, 1:, :]         # (B, N, D)
 
@@ -137,7 +135,7 @@ def predict(model: QualityTransformer, image: Tensor) -> Prediction:
         raise ShapeError(f"predict takes a (C, H, W) image, got {image.shape}")
     with no_grad():
         panel_scores, embeddings, maps = forward_panel(
-            model, image.reshape((1,) + image.shape))
+            model, Tensor(image.data[None]))
     ps = panel_scores.data[0]
     return Prediction(
         score=float(ps.mean()),

@@ -182,11 +182,6 @@ class Tensor:
         return Tensor._make(self.data.reshape(shape), (self,),
                             lambda g: (g.reshape(old),))
 
-    def transpose(self, *axes) -> "Tensor":
-        inv = np.argsort(axes)
-        return Tensor._make(np.ascontiguousarray(self.data.transpose(axes)),
-                            (self,), lambda g: (g.transpose(inv),))
-
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None) -> "Tensor":
@@ -207,34 +202,28 @@ class Tensor:
 
 # -- free-function primitives ------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Matrix product with numpy batch broadcasting on leading axes; with
-    `bias` (2-D `b` only), the affine map ``a @ b + bias`` as one node."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs rank >= 2, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(
-            f"matmul inner extents differ: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+def matmul(a: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """The affine map ``a @ w (+ bias)`` of (..., K) rows by a (K, N) weight,
+    as one node."""
+    if a.ndim < 2 or w.ndim != 2 or a.shape[-1] != w.shape[0]:
+        raise ShapeError(f"matmul needs (..., K) rows and a (K, N) weight, "
+                         f"got {a.shape} @ {w.shape}")
+    out = a.data @ w.data
     if bias is not None:
-        if b.ndim != 2 or bias.shape != b.shape[-1:]:
-            raise ShapeError(
-                f"matmul bias {bias.shape} needs a 2-D weight, got {b.shape}")
+        if bias.shape != w.shape[1:]:
+            raise ShapeError(f"matmul bias {bias.shape} does not match the "
+                             f"weight {w.shape}")
         out += bias.data
 
     def vjp(g):
-        if b.ndim == 2:
-            # weight gradient as one GEMM: fold the leading axes into rows;
-            # no input gradient when `a` needs none, as for image patches
-            g2 = g.reshape(-1, g.shape[-1])
-            ga = (g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None
-            gb = a.data.reshape(-1, a.shape[-1]).T @ g2
-            return (ga, gb, g2.sum(axis=0))
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return (ga, gb)
+        # weight gradient as one GEMM: fold the leading axes into rows;
+        # no input gradient when `a` needs none, as for image patches
+        g2 = g.reshape(-1, g.shape[-1])
+        ga = (g2 @ w.data.T).reshape(a.shape) if a.requires_grad else None
+        gw = a.data.reshape(-1, a.shape[-1]).T @ g2
+        return (ga, gw, g2.sum(axis=0))
 
-    parents = (a, b) if bias is None else (a, b, bias)
+    parents = (a, w) if bias is None else (a, w, bias)
     return Tensor._make(out, parents, vjp)
 
 

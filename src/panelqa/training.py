@@ -47,11 +47,12 @@ class TrainConfig:
         return np.float64 if self.precision == 64 else np.float32
 
 
-def smooth_l1(pred: Tensor, target: Tensor, beta: float = 1.0) -> Tensor:
-    """Mean smooth-L1: quadratic inside |diff| < beta, linear outside."""
+def smooth_l1(pred: Tensor, target: np.ndarray, beta: float = 1.0) -> Tensor:
+    """Mean smooth-L1: quadratic inside |diff| < beta, linear outside. The
+    target is data: only ``pred`` gets a gradient."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    diff = pred.data - target.data
+    diff = pred.data - target
     absd = np.abs(diff)
     inner = absd < beta
     vals = np.where(inner, 0.5 * diff * diff / beta, absd - 0.5 * beta)
@@ -60,9 +61,9 @@ def smooth_l1(pred: Tensor, target: Tensor, beta: float = 1.0) -> Tensor:
 
     def vjp(g):
         d = np.where(inner, diff / beta, np.sign(diff)) * (g / n)
-        return (d, -d)
+        return (d,)
 
-    return Tensor._make(out, (pred, target), vjp)
+    return Tensor._make(out, (pred,), vjp)
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -194,14 +195,13 @@ def fit(model: QualityTransformer, manifest: Manifest, cfg: TrainConfig,
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             batch = Tensor(np.stack([crops[i] for i in idx]))
-            target = Tensor(targets[idx])
             scores = forward_scores(model, batch)
-            loss = smooth_l1(scores, target, beta=cfg.smooth_l1_beta)
+            loss = smooth_l1(scores, targets[idx], beta=cfg.smooth_l1_beta)
             loss_val = loss.item()
             if not np.isfinite(loss_val):
                 raise NonFiniteError(
-                    f"non-finite loss at step {state.step} (epoch {epoch}); "
-                    f"aborting training")
+                    f"non-finite loss at step {state.step + 1} "
+                    f"(epoch {epoch}); aborting training")
             loss.backward()
             cls_grad = model.embedding.cls_token.grad.reshape(-1).copy()
             grad_norm = optimizer_step(params, state, lr, cfg.weight_decay)

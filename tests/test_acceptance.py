@@ -96,7 +96,7 @@ class TestCriterion1:
         model = toy_model(seed=0)
         rng = Rng(41)
         img = Tensor(rng.uniform((1, 3, 12, 12)))
-        target = Tensor(np.array([0.7]))
+        target = np.array([0.7])
 
         def loss():
             return smooth_l1(forward_scores(model, img), target)
@@ -188,9 +188,9 @@ class TestCriterion5:
         model.embedding.pos_embed.data[...] = 0
         cfg = model.config
         img = rand_image(cfg, Rng(34))
-        patches = patchify(batched(img), cfg.patch_size).data[0]  # (N, C*p*p)
-        z = encode(batched(img), model.embedding, model.enc_blocks, cfg.heads,
-                   cfg.patch_size)
+        patches = patchify(img.data[None], cfg.patch_size)[0]  # (N, C*p*p)
+        z = encode(img.data[None], model.embedding, model.enc_blocks,
+                   cfg.heads, cfg.patch_size)
         base_cls = z.data[0, 0]
         base_score = float(forward_scores(model, batched(img)).data[0])
         g, p = cfg.grid, cfg.patch_size
@@ -200,7 +200,7 @@ class TestCriterion5:
             tile = patches[perm].reshape(g, g, 3, p, p).transpose(2, 0, 3, 1, 4)
             img_p = Tensor(np.ascontiguousarray(
                 tile.reshape(3, g * p, g * p)))
-            zp = encode(batched(img_p), model.embedding, model.enc_blocks,
+            zp = encode(img_p.data[None], model.embedding, model.enc_blocks,
                         cfg.heads, cfg.patch_size)
             assert np.abs(zp.data[0, 0] - base_cls).max() <= 1e-5
             got = float(forward_scores(model, batched(img_p)).data[0])

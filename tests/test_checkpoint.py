@@ -190,6 +190,8 @@ class TestErrors:
          ":4: repeated config key 'heads'"),
         (b"mlp_ratio = 2.0", b"mlp_ratio = nan",
          "bad number for mlp_ratio: 'nan'"),
+        (b"mlp_ratio = 2.0", b"mlp_ratio = 0.01",
+         "mlp_ratio 0.01 x token_dim 16"),
     ])
     def test_bad_config_header_names_file_and_key(self, tmp_path, old, new,
                                                   names):

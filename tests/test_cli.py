@@ -412,6 +412,9 @@ class TestInputsCheckedFirst:
                       "--heads", "5"],
                      "heads = 5 does not match heads = 2 of {ckpt}",
                      id="eval-heads"),
+        pytest.param(["train", "--manifest", "{data}", "--mlp-ratio", "0.01"],
+                     "mlp_ratio 0.01 x token_dim 16 rounds to an MLP width "
+                     "of 0", id="train-mlp-ratio"),
         pytest.param(["train", "--manifest", "{data}", "--eval-crops", "0"],
                      "eval_crops must be positive", id="train-eval-crops"),
         pytest.param(["eval", "--checkpoint", "{ckpt}", "--manifest", "{data}",

@@ -2,12 +2,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import batched, rand_image, toy_config, toy_model, unpatchify
+from conftest import rand_image, toy_config, toy_model, unpatchify
 from panelqa import config
 from panelqa import encoder as enc
 from panelqa.encoder import ModelConfig
-from panelqa.tensor import (Rng, ShapeError, Tensor, grad_check, matmul,
-                            softmax_lastdim)
+from panelqa.tensor import (Rng, ShapeError, Tensor, _unbroadcast, grad_check,
+                            matmul, softmax_lastdim)
 
 
 def naive_softmax(v):
@@ -34,6 +34,25 @@ def naive_attention(q_in, kv_in, p, heads):
     return ctx @ p.wo.data + p.bo.data
 
 
+def transpose(x, *axes):
+    """An axis permutation as a tape node. The package has none: only the
+    composed attention below needs one."""
+    inv = np.argsort(axes)
+    return Tensor._make(np.ascontiguousarray(x.data.transpose(axes)),
+                        (x,), lambda g: (g.transpose(inv),))
+
+
+def batched_matmul(a, b):
+    """A product of two batched tensors as a tape node, with numpy batch
+    broadcasting; the package's `matmul` takes a 2-D weight only."""
+
+    def vjp(g):
+        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
+                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+
+    return Tensor._make(a.data @ b.data, (a, b), vjp)
+
+
 def composed_attention(q_in, kv_in, p, heads):
     """Multi-head attention composed of tape ops, as `attention` was before
     it became one node; returns the output tensor and the weights."""
@@ -42,15 +61,15 @@ def composed_attention(q_in, kv_in, p, heads):
     d = D // heads
 
     def split_heads(x, m):
-        return x.reshape((B, m, heads, d)).transpose(0, 2, 1, 3)
+        return transpose(x.reshape((B, m, heads, d)), 0, 2, 1, 3)
 
     q = split_heads(matmul(q_in, p.wq) + p.bq, M)
     k = split_heads(matmul(kv_in, p.wk) + p.bk, Mk)
     v = split_heads(matmul(kv_in, p.wv) + p.bv, Mk)
     scale = Tensor(np.asarray(1.0 / np.sqrt(d), q_in.dtype))
-    scores = matmul(q, k.transpose(0, 1, 3, 2)) * scale
+    scores = batched_matmul(q, transpose(k, 0, 1, 3, 2)) * scale
     weights = softmax_lastdim(scores)
-    ctx = matmul(weights, v).transpose(0, 2, 1, 3).reshape((B, M, D))
+    ctx = transpose(batched_matmul(weights, v), 0, 2, 1, 3).reshape((B, M, D))
     return matmul(ctx, p.wo) + p.bo, weights.data
 
 
@@ -91,6 +110,14 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             toy_config(variant="bogus")
 
+    def test_zero_width_mlp_rejected(self):
+        # round(0.01 * 16) is 0: a model with a zero-width MLP has no
+        # gradient to take, so the config names both keys instead
+        with pytest.raises(ValueError,
+                           match="mlp_ratio 0.01 x token_dim 16 .* width of 0"):
+            toy_config(mlp_ratio=0.01)
+        assert toy_config(mlp_ratio=0.04).mlp_dim == 1
+
     def test_roundtrip_dict(self):
         cfg = toy_config()
         values = config.parse(config.write(cfg), config.keys(ModelConfig), "")
@@ -99,28 +126,32 @@ class TestModelConfig:
 
 class TestPatchify:
     def test_paper_scale_shape(self):
-        img = Tensor(np.zeros((1, 3, 224, 224)))
+        img = np.zeros((1, 3, 224, 224))
         assert enc.patchify(img, 16).shape == (1, 196, 768)
 
     def test_single_patch_is_flattened_image(self):
         rng = Rng(1)
         img = rng.uniform((3, 16, 16))
-        out = enc.patchify(Tensor(img[None]), 16).data[0]
+        out = enc.patchify(img[None], 16)[0]
         npt.assert_array_equal(out, img.reshape(1, -1))
 
     def test_round_trip(self):
         img = np.arange(16.0).reshape(1, 4, 4)
-        patches = enc.patchify(Tensor(img[None]), 2).data[0]
+        patches = enc.patchify(img[None], 2)[0]
         assert patches.shape == (4, 4)
         npt.assert_array_equal(unpatchify(patches, 2, 1, 4), img)
 
+    def test_result_is_row_major(self):
+        # the projection GEMM reads the patches in row-major layout
+        assert enc.patchify(Rng(1).uniform((2, 3, 8, 8)), 4).flags.c_contiguous
+
     def test_indivisible_rejected(self):
         with pytest.raises(ShapeError):
-            enc.patchify(Tensor(np.zeros((1, 3, 10, 10))), 4)
+            enc.patchify(np.zeros((1, 3, 10, 10)), 4)
 
     def test_single_image_rejected(self):
         with pytest.raises(ShapeError, match="expects"):
-            enc.patchify(Tensor(np.zeros((3, 12, 12))), 4)
+            enc.patchify(np.zeros((3, 12, 12)), 4)
 
 
 class TestEmbed:
@@ -130,18 +161,18 @@ class TestEmbed:
         emb.pos_embed.data[...] = 0
         emb.patch_proj_b.data[...] = 0
         emb.cls_token.data[...] = 0
-        out = enc.embed(Tensor(np.zeros((1, 3, 12, 12))), emb, 4).data[0]
+        out = enc.embed(np.zeros((1, 3, 12, 12)), emb, 4).data[0]
         # rows 1..N are the (zero) projection bias; row 0 the (zero) CLS
         npt.assert_array_equal(out, np.zeros((10, 16)))
 
     def test_shape_contract(self, model):
-        out = enc.embed(batched(rand_image(model.config, Rng(2))),
+        out = enc.embed(rand_image(model.config, Rng(2)).data[None],
                         model.embedding, 4)
         assert out.shape == (1, 10, 16)
 
     def test_channel_mismatch_names_both_counts(self, model):
         # a 1-channel image whose side is divisible by the patch size
-        gray = Tensor(np.zeros((1, 1, 12, 12)))
+        gray = np.zeros((1, 1, 12, 12))
         with pytest.raises(ShapeError, match="1 channels.*expects 3"):
             enc.embed(gray, model.embedding, model.config.patch_size)
 
@@ -149,12 +180,12 @@ class TestEmbed:
         emb = model.embedding
         emb.pos_embed.data[...] = 0
         rng = Rng(3)
-        img = rand_image(model.config, rng)
-        patches = enc.patchify(batched(img), 4).data[0]
+        img = rand_image(model.config, rng).data
+        patches = enc.patchify(img[None], 4)[0]
         perm = rng.permutation(9)
         img2 = unpatchify(patches[perm], 4, 3, 12)
-        a = enc.embed(batched(img), emb, 4).data[0]
-        b = enc.embed(Tensor(img2[None]), emb, 4).data[0]
+        a = enc.embed(img[None], emb, 4).data[0]
+        b = enc.embed(img2[None], emb, 4).data[0]
         npt.assert_allclose(b[0], a[0], atol=1e-12)
         npt.assert_allclose(b[1:], a[1:][perm], atol=1e-12)
 
@@ -319,7 +350,7 @@ class TestEncoderBlock:
 
 class TestEncode:
     def test_toy_shape(self, model):
-        img = batched(rand_image(model.config, Rng(10)))
+        img = rand_image(model.config, Rng(10)).data[None]
         z = enc.encode(img, model.embedding, model.enc_blocks,
                        model.config.heads, 4)
         assert z.shape == (1, 10, 16)
@@ -327,33 +358,33 @@ class TestEncode:
     def test_cls_invariant_under_patch_permutation_with_zero_pos(self, model):
         model.embedding.pos_embed.data[...] = 0
         rng = Rng(11)
-        img = rand_image(model.config, rng)
-        patches = enc.patchify(batched(img), 4).data[0]
+        img = rand_image(model.config, rng).data
+        patches = enc.patchify(img[None], 4)[0]
 
         def cls_of(im):
-            return enc.encode(batched(im), model.embedding, model.enc_blocks,
+            return enc.encode(im[None], model.embedding, model.enc_blocks,
                               model.config.heads, 4).data[0, 0]
 
         base = cls_of(img)
         perm = rng.permutation(9)
-        permuted = Tensor(unpatchify(patches[perm], 4, 3, 12))
+        permuted = unpatchify(patches[perm], 4, 3, 12)
         assert np.max(np.abs(cls_of(permuted) - base)) <= 1e-5
 
     def test_nonzero_pos_breaks_invariance(self, model):
         rng = Rng(12)
-        img = rand_image(model.config, rng)
-        patches = enc.patchify(batched(img), 4).data[0]
+        img = rand_image(model.config, rng).data
+        patches = enc.patchify(img[None], 4)[0]
         perm = rng.permutation(9)
-        permuted = Tensor(unpatchify(patches[perm], 4, 3, 12))
+        permuted = unpatchify(patches[perm], 4, 3, 12)
 
         def cls_of(im):
-            return enc.encode(batched(im), model.embedding, model.enc_blocks,
+            return enc.encode(im[None], model.embedding, model.enc_blocks,
                               model.config.heads, 4).data[0, 0]
 
         assert np.max(np.abs(cls_of(permuted) - cls_of(img))) > 1e-5
 
     def test_determinism(self, model):
-        img = batched(rand_image(model.config, Rng(13)))
+        img = rand_image(model.config, Rng(13)).data[None]
         a = enc.encode(img, model.embedding, model.enc_blocks,
                        model.config.heads, 4)
         b = enc.encode(img, model.embedding, model.enc_blocks,

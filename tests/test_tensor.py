@@ -70,6 +70,11 @@ class TestMatmul:
         with pytest.raises(ShapeError):
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 4, 5)])
+    def test_weight_must_be_2d(self, shape):
+        with pytest.raises(ShapeError, match=r"a \(K, N\) weight"):
+            matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones(shape)))
+
     def test_batched_broadcast(self):
         rng = Rng(11)
         a = rng.normal((4, 3, 5))

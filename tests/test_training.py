@@ -14,7 +14,7 @@ from panelqa.training import (OptimizerState, TrainConfig, fit, lr_at,
 
 
 def scalar_smooth_l1(pred, target, beta=1.0):
-    return smooth_l1(Tensor([float(pred)]), Tensor([float(target)]),
+    return smooth_l1(Tensor([float(pred)]), np.array([float(target)]),
                      beta).item()
 
 
@@ -41,14 +41,16 @@ class TestSmoothL1:
 
     def test_batch_mean(self):
         pred = Tensor([0.0, 2.0])
-        target = Tensor([0.5, 0.0])
+        target = np.array([0.5, 0.0])
         assert abs(smooth_l1(pred, target).item() - (0.125 + 1.5) / 2) <= 1e-12
 
     def test_gradient_vs_finite_difference(self):
         rng = Rng(0)
         pred = Tensor(rng.normal((8,)), requires_grad=True)
-        target = Tensor(rng.normal((8,)) * 2)
-        smooth_l1(pred, target).backward()
+        target = rng.normal((8,)) * 2
+        loss = smooth_l1(pred, target)
+        assert loss._parents == (pred,)    # the target is data
+        loss.backward()
         eps = 1e-6
         for i in range(8):
             bumped = pred.data.copy()
@@ -59,7 +61,7 @@ class TestSmoothL1:
 
     def test_beta_validated(self):
         with pytest.raises(ValueError):
-            smooth_l1(Tensor([1.0]), Tensor([0.0]), beta=0.0)
+            smooth_l1(Tensor([1.0]), np.array([0.0]), beta=0.0)
 
 
 class TestLrSchedule:
@@ -314,6 +316,17 @@ class TestFit:
         log = fit(toy_model(seed=2), manifest, cfg)
         assert len(log.records) == 3
         assert sorted(calls) == sorted(s.image_ref for s in manifest)
+
+    def test_non_finite_loss_names_the_step_as_the_log_does(self):
+        # the log numbers steps from 1; the step that fails is the next one
+        model = toy_model(seed=4)
+        model.head.b2.data[...] = np.inf
+        state = OptimizerState.init(model.named_parameters())
+        cfg = TrainConfig(epochs=1, batch_size=4, crops_per_image=1, seed=4)
+        with pytest.raises(NonFiniteError,
+                           match=r"non-finite loss at step 1 \(epoch 0\)"):
+            fit(model, tiny_manifest(), cfg, state=state)
+        assert state.step == 0
 
     def test_log_serialization(self, tmp_path):
         cfg = TrainConfig(epochs=1, batch_size=8, crops_per_image=1, seed=4)

@@ -14,8 +14,9 @@ one line, marked ``(perfbench wraps it)`` when the benchmark's tracer
 wrap. Input checks that only a malformed input reaches, and helpers that
 only the tests call, are listed too: the sweep finds candidates, and reading
 the code decides what is dead. Last it prints the package's size, the
-non-blank lines of ``src/panelqa/*.py``. It takes a few seconds and is not
-part of the test suite.
+non-blank lines of ``src/panelqa/*.py``, and the tape nodes (``Tensor._make``
+calls) of one criterion-7 ``forward_panel`` on a batch of 2 float32 images.
+It takes a few seconds and is not part of the test suite.
 """
 from __future__ import annotations
 
@@ -122,6 +123,25 @@ def sweep(tmp: str) -> None:
                       tracing.Tracer())
 
 
+def forward_nodes() -> int:
+    """Tape nodes one criterion-7 ``forward_panel`` records, with gradients
+    on, for a batch of 2 float32 images, as the benchmark's tracer counts
+    them."""
+    import numpy as np
+    import tracing
+    from panelqa.model import forward_panel, init_model
+    from panelqa.tensor import Rng, Tensor
+    from workloads import C7
+    model = init_model(C7, Rng(0), dtype=np.float32)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        forward_panel(model, Tensor(np.zeros((2, 3, 16, 16), np.float32)))
+    finally:
+        tracer.uninstall()
+    return tracer.made
+
+
 def statement_lines(code) -> set[int]:
     """Lines that hold an instruction of ``code`` after its prologue (the
     instructions up to RESUME, which belong to the ``def`` line)."""
@@ -204,6 +224,7 @@ def main() -> int:
             with open(path, encoding="utf-8") as fh:
                 nonblank += sum(1 for row in fh if row.strip())
     print(f"# {nonblank} non-blank lines in src/panelqa/*.py")
+    print(f"# {forward_nodes()} tape nodes per criterion-7 forward_panel")
     print(f"# swept in {time.perf_counter() - t0:.1f} s", file=sys.stderr)
     return 0
 
