@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 from .encoder import (AttentionParams, ModelConfig, attention, init_attention,
                       _ones, _param, _zeros)
-from .tensor import Rng, Tensor, gelu, layer_norm, matmul
+from .tensor import Rng, Tensor, gelu, matmul
+from .tensor import layer_norm  # noqa: F401  perfbench wraps it here
 
 
 @dataclass
@@ -71,9 +72,9 @@ def init_panel(cfg: ModelConfig, rng: Rng) -> Tensor:
 
 
 def make_queries(x: Tensor, block: QueryBlockParams, heads: int) -> Tensor:
-    """Decoder queries: MHSA over the (B, L, D) panel inputs plus residual."""
-    h = layer_norm(x, block.ln_gain, block.ln_bias)
-    return attention(h, h, block.attn, heads) + x
+    """Decoder queries: MHSA over the normed (B, L, D) panel inputs plus
+    residual."""
+    return attention(x, block.ln_gain, block.ln_bias, block.attn, heads)
 
 
 def cross_attend(queries: Tensor, patch_feats: Tensor, block: CrossBlockParams,
@@ -81,10 +82,9 @@ def cross_attend(queries: Tensor, patch_feats: Tensor, block: CrossBlockParams,
     """One decoder layer: MHCA of normed (B, L, D) queries over (B, N, D)
     patch features, residual, then the MLP. Returns (output, per-head
     attention weights (B,h,L,N))."""
-    attended, weights = attention(
-        layer_norm(queries, block.lnq_gain, block.lnq_bias), patch_feats,
-        block.attn, heads, return_weights=True)
-    mid = attended + queries
+    mid, weights = attention(queries, block.lnq_gain, block.lnq_bias,
+                             block.attn, heads, kv=patch_feats,
+                             return_weights=True)
     h = gelu(matmul(mid, block.mlp_w1, block.mlp_b1))
     return matmul(h, block.mlp_w2, block.mlp_b2), weights
 

@@ -7,11 +7,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .tensor import Rng, ShapeError, Tensor, gelu, layer_norm, matmul
-from .tensor import softmax_lastdim  # noqa: F401  perfbench wraps it here
+from .tensor import Rng, ShapeError, Tensor, _norm, _norm_vjp, matmul, mlp
+# no encoder function calls these; perfbench wraps them here
+from .tensor import gelu, layer_norm, softmax_lastdim  # noqa: F401
 
 VARIANTS = ("encoder_only", "panel_no_decoder", "decoder_random_queries",
             "decoder_cls_queries", "full")
@@ -186,33 +188,36 @@ def _heads(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(B, M, heads, D // heads).transpose(0, 2, 1, 3)
 
 
-def attention(q_in: Tensor, kv_in: Tensor, params: AttentionParams,
-              heads: int, return_weights: bool = False):
-    """Multi-head attention as one tape node; self-attention when q_in is
-    kv_in.
+def attention(x: Tensor, gain: Tensor, bias: Tensor, params: AttentionParams,
+              heads: int, kv: Optional[Tensor] = None,
+              return_weights: bool = False):
+    """Pre-norm residual multi-head attention as one tape node:
+    ``x + MHA(LN(x), kv)``, self-attention over ``LN(x)`` when kv is None.
 
-    q_in: (B, M, D), kv_in: (B, Mk, D). Returns (B, M, D) and, on request,
-    the per-head weight array (B, heads, M, Mk). Self-attention projects
-    Q, K and V with one (D, 3D) product, cross-attention K and V with one
-    (D, 2D) product; the stored wq/wk/wv are concatenated per call.
+    x: (B, M, D), kv: (B, Mk, D). Returns (B, M, D) and, on request, the
+    per-head weight array (B, heads, M, Mk). Self-attention projects Q, K
+    and V with one (D, 3D) product, cross-attention K and V with one (D, 2D)
+    product; the stored wq/wk/wv are concatenated per call.
     """
-    if not (q_in.ndim == kv_in.ndim == 3
-            and q_in.shape[::2] == kv_in.shape[::2]):
+    if not (x.ndim == 3 and (kv is None or (
+            kv.ndim == 3 and x.shape[::2] == kv.shape[::2]))):
         raise ShapeError(f"attention expects (B, M, D) and (B, Mk, D) tokens, "
-                         f"got {q_in.shape} and {kv_in.shape}")
-    B, M, D = q_in.shape
+                         f"got {x.shape} and {None if kv is None else kv.shape}")
+    B, M, D = x.shape
     p = params
-    fused = q_in is kv_in
+    h, xhat, inv = _norm(x.data, gain.data, bias.data)
     # (input, weight, bias) of each input projection; their outputs, side by
     # side, are Q|K|V
-    if fused:
-        groups = [(q_in, (p.wq, p.wk, p.wv), (p.bq, p.bk, p.bv))]
+    if kv is None:
+        groups = [(h, (p.wq, p.wk, p.wv), (p.bq, p.bk, p.bv))]
     else:
-        groups = [(q_in, (p.wq,), (p.bq,)),
-                  (kv_in, (p.wk, p.wv), (p.bk, p.bv))]
-    projs = [(x.data, np.concatenate([w.data for w in ws], axis=1),
-              np.concatenate([b.data for b in bs])) for x, ws, bs in groups]
-    ys = [x @ w + b for x, w, b in projs]
+        groups = [(h, (p.wq,), (p.bq,)),
+                  (kv.data, (p.wk, p.wv), (p.bk, p.bv))]
+    projs = [(a, np.concatenate([w.data for w in ws], axis=1),
+              np.concatenate([b.data for b in bs])) for a, ws, bs in groups]
+    ys = [a @ w for a, w, _ in projs]
+    for y, (_, _, b) in zip(ys, projs):
+        y += b
 
     def qkv(arrays):
         return (_heads(arrays[0][..., :D], heads),
@@ -223,11 +228,16 @@ def attention(q_in: Tensor, kv_in: Tensor, params: AttentionParams,
     scale = 1.0 / math.sqrt(D // heads)
     wgt = q @ k.swapaxes(-1, -2)
     wgt *= scale
-    wgt -= wgt.max(axis=-1, keepdims=True)
+    # an exact row max, faster over the leading axis of a contiguous copy
+    row_max = np.ascontiguousarray(np.moveaxis(wgt, -1, 0)).max(axis=0)
+    wgt -= row_max[..., None]
     np.exp(wgt, out=wgt)
     wgt /= wgt.sum(axis=-1, keepdims=True)                  # (B, h, M, Mk)
     ctx = np.empty((B, M, D), wgt.dtype)
     np.matmul(wgt, v, out=_heads(ctx, heads))
+    y = ctx @ p.wo.data
+    y += p.bo.data
+    y += x.data
 
     def vjp(g):
         g2 = g.reshape(-1, D)
@@ -242,16 +252,18 @@ def attention(q_in: Tensor, kv_in: Tensor, params: AttentionParams,
         np.matmul(gs.swapaxes(-1, -2), q, out=gk)
         np.matmul(wgt.swapaxes(-1, -2), gctx, out=gv)
         gys = [gy.reshape(-1, gy.shape[-1]) for gy in gys]
-        gx = [(gy @ w.T).reshape(x.shape) for (x, w, _), gy in zip(projs, gys)]
-        gw = [x.reshape(-1, D).T @ gy for (x, _, _), gy in zip(projs, gys)]
+        ga = [(gy @ w.T).reshape(a.shape) for (a, w, _), gy in zip(projs, gys)]
+        gw = [a.reshape(-1, D).T @ gy for (a, _, _), gy in zip(projs, gys)]
         gw = np.split(np.concatenate(gw, axis=1), 3, axis=1)
         gb = np.split(np.concatenate([gy.sum(axis=0) for gy in gys]), 3)
-        return (gx[0], None if fused else gx[1], gw[0], gb[0], gw[1], gb[1],
+        gx, ggain, gbias = _norm_vjp(ga[0], xhat, inv, gain.data)
+        gx += g
+        return (gx, ggain, gbias, *ga[1:], gw[0], gb[0], gw[1], gb[1],
                 gw[2], gb[2], ctx.reshape(-1, D).T @ g2, g2.sum(axis=0))
 
-    out = Tensor._make(ctx @ p.wo.data + p.bo.data,
-                       (q_in, kv_in, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv,
-                        p.wo, p.bo), vjp)
+    kv_parent = () if kv is None else (kv,)
+    out = Tensor._make(y, (x, gain, bias, *kv_parent, p.wq, p.bq, p.wk, p.bk,
+                           p.wv, p.bv, p.wo, p.bo), vjp)
     if return_weights:
         return out, wgt.copy()
     return out
@@ -260,12 +272,10 @@ def attention(q_in: Tensor, kv_in: Tensor, params: AttentionParams,
 def encoder_block(tokens: Tensor, block: EncoderBlockParams,
                   heads: int) -> Tensor:
     """Pre-norm transformer block over (B, M, D) tokens: MHSA then MLP, each
-    with a residual."""
-    h = layer_norm(tokens, block.ln1_gain, block.ln1_bias)
-    zm = attention(h, h, block.attn, heads) + tokens
-    h = gelu(matmul(layer_norm(zm, block.ln2_gain, block.ln2_bias),
-                    block.mlp_w1, block.mlp_b1))
-    return matmul(h, block.mlp_w2, block.mlp_b2) + zm
+    with a residual, one tape node each."""
+    zm = attention(tokens, block.ln1_gain, block.ln1_bias, block.attn, heads)
+    return mlp(zm, block.ln2_gain, block.ln2_bias, block.mlp_w1,
+               block.mlp_b1, block.mlp_w2, block.mlp_b2)
 
 
 def encode(image: np.ndarray, embedding: EmbeddingParams,

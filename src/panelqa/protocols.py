@@ -141,8 +141,15 @@ def protocol_data_efficiency(manifest: Manifest, model_cfg: ModelConfig,
     if round(min(fractions, default=1) * groups) < 1:
         raise ValueError(f"data-efficiency fraction {min(fractions)} keeps "
                          f"none of the {groups} groups")
-    settings = [(f"frac={f:.2f}", 1000 * int(f * 100), model_cfg, f)
-                for f in fractions]
+    offsets = {}     # seed offset -> fraction
+    for f in fractions:  # rounded: int() truncates 0.29 * 100 to 28
+        offset = 1000 * round(f * 100)
+        if offset in offsets:
+            raise ValueError(f"data-efficiency fractions {offsets[offset]} "
+                             f"and {f} share the seed offset {offset}")
+        offsets[offset] = f
+    settings = [(f"frac={f:.2f}", offset, model_cfg, f)
+                for offset, f in offsets.items()]
     return _sweep("data-efficiency", manifest, train_cfg, settings, repeats,
                   eval_crops, train_frac)
 

@@ -240,65 +240,114 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return Tensor._make(y, (x,), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine.
-
-    Row means are GEMVs against a constant 1/n vector, one pass each."""
+def _norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Layer norm of the last axis of ``x``, then affine: the output, and the
+    normalized rows and inverse deviations that `_norm_vjp` takes. Row means
+    are GEMVs against a constant 1/n vector, one pass each."""
     n = x.shape[-1]
-    rows = x.data.reshape(-1, n)
+    rows = x.reshape(-1, n)
     mean_of = np.full(n, 1.0 / n, dtype=x.dtype)
     xc = rows - (rows @ mean_of)[:, None]
     inv = 1.0 / np.sqrt((xc * xc) @ mean_of + 1e-6)[:, None]
     xhat = np.multiply(xc, inv, out=xc)
-    out = xhat * gain.data
-    out += bias.data
+    out = xhat * gain
+    out += bias
+    return out.reshape(x.shape), xhat, inv
 
-    def vjp(g):
-        g2 = g.reshape(-1, n)
-        gx = g2 * xhat
-        ones = np.ones(len(g2), dtype=g2.dtype)
-        # row means of g*gain and g*gain*xhat, as GEMVs against gain/n
-        gain_n = gain.data / n
-        dx = g2 * gain.data
-        dx -= (g2 @ gain_n)[:, None]
-        dx -= xhat * (gx @ gain_n)[:, None]
-        dx *= inv
-        return (dx.reshape(x.shape), ones @ gx, ones @ g2)
 
-    return Tensor._make(out.reshape(x.shape), (x, gain, bias), vjp)
+def _norm_vjp(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+              gain: np.ndarray):
+    """Gradients of `_norm` for the incoming ``g``: input, gain and bias."""
+    n = xhat.shape[-1]
+    g2 = g.reshape(-1, n)
+    gx = g2 * xhat
+    ones = np.ones(len(g2), dtype=g2.dtype)
+    # row means of g*gain and g*gain*xhat, as GEMVs against gain/n
+    gain_n = gain / n
+    dx = g2 * gain
+    dx -= (g2 @ gain_n)[:, None]
+    xhat *= (gx @ gain_n)[:, None]         # the forward's rows, now dead
+    dx -= xhat
+    dx *= inv
+    return dx.reshape(g.shape), ones @ gx, ones @ g2
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    out, xhat, inv = _norm(x.data, gain.data, bias.data)
+    return Tensor._make(out, (x, gain, bias),
+                        lambda g: _norm_vjp(g, xhat, inv, gain.data))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh approximation."""
-    xd = x.data
-    x2 = xd * xd
-    t = x2 * xd                      # x**3 without numpy's slow power path
+def _gelu(x: np.ndarray):
+    """Tanh GELU of ``x``: the output, and the ``x**2`` and tanh terms that
+    `_gelu_vjp` takes."""
+    x2 = x * x
+    t = x2 * x                       # x**3 without numpy's slow power path
     t *= 0.044715
-    t += xd
+    t += x
     t *= _GELU_C
     np.tanh(t, out=t)
     out = t + 1.0
-    out *= xd
+    out *= x
     out *= 0.5
+    return out, x2, t
+
+
+def _gelu_vjp(g: np.ndarray, x: np.ndarray, x2: np.ndarray, t: np.ndarray,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``g`` times the derivative of `_gelu` at ``x``. The derivative is
+    built in ``x2`` and, if given, in ``out``; both are overwritten."""
+    # d/dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2)
+    d = np.multiply(t, t, out=out, dtype=np.result_type(t, g))
+    np.subtract(1.0, d, out=d)
+    d *= x
+    x2 *= 3 * 0.044715 * _GELU_C
+    x2 += _GELU_C
+    d *= x2
+    d += t
+    d += 1.0
+    d *= 0.5
+    d *= g
+    return d
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Gaussian error linear unit, tanh approximation."""
+    out, x2, t = _gelu(x.data)
+    return Tensor._make(out, (x,), lambda g: (_gelu_vjp(g, x.data, x2, t),))
+
+
+def mlp(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
+        w2: Tensor, b2: Tensor) -> Tensor:
+    """The pre-norm residual MLP ``x + gelu(LN(x) @ w1 + b1) @ w2 + b2`` as
+    one node, bit for bit the five nodes it fuses."""
+    h, xhat, inv = _norm(x.data, gain.data, bias.data)
+    a = h @ w1.data
+    a += b1.data
+    act, a2, t = _gelu(a)
+    y = act @ w2.data
+    y += b2.data
+    y += x.data
 
     def vjp(g):
-        # d/dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2), in two buffers
-        d = np.multiply(t, t, dtype=np.result_type(t, g))
-        np.subtract(1.0, d, out=d)
-        d *= xd
-        du = x2 * (3 * 0.044715 * _GELU_C)
-        du += _GELU_C
-        d *= du
-        d += t
-        d += 1.0
-        d *= 0.5
-        d *= g
-        return (d,)
+        g2 = g.reshape(-1, g.shape[-1])
+        rows = h.reshape(-1, h.shape[-1])
+        # a forward buffer takes a gradient once its weight gradient is
+        # taken: the GELU output its derivative, the normed rows their own
+        gw2 = act.reshape(-1, act.shape[-1]).T @ g2
+        ga = _gelu_vjp((g2 @ w2.data.T).reshape(a.shape), a, a2, t, out=act)
+        ga2 = ga.reshape(-1, ga.shape[-1])
+        gw1 = rows.T @ ga2
+        np.matmul(ga2, w1.data.T, out=rows)
+        gx, ggain, gbias = _norm_vjp(h, xhat, inv, gain.data)
+        gx += g
+        return (gx, ggain, gbias, gw1, ga2.sum(axis=0), gw2, g2.sum(axis=0))
 
-    return Tensor._make(out, (x,), vjp)
+    return Tensor._make(y, (x, gain, bias, w1, b1, w2, b2), vjp)
 
 
 # -- deterministic random numbers --------------------------------------------

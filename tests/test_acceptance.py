@@ -114,12 +114,15 @@ class TestCriterion2:
         worst = 0.0
         for seed in range(20):
             rng = Rng(("oracle", seed))
-            # self-attention against the loop oracle
+            # self-attention against the loop oracle: MHSA(Norm(x)) + x
             p = init_attention(cfg, rng.child(0))
             x = rng.normal((9, D))
-            t = Tensor(x[None])
-            got = attention(t, t, p, h).data[0]
-            worst = max(worst, np.abs(got - naive_attention(x, x, p, h)).max())
+            gain, bias = np.ones(D), np.zeros(D)
+            got = attention(Tensor(x[None]), Tensor(gain), Tensor(bias), p,
+                            h).data[0]
+            normed = np.stack([naive_ln(r, gain, bias) for r in x])
+            want = naive_attention(normed, normed, p, h) + x
+            worst = max(worst, np.abs(got - want).max())
             # make_queries: MHSA(Norm(cls + panel)) + (cls + panel)
             qb = init_query_block(cfg, rng.child(1))
             q_in = rng.normal((1, D)) + rng.normal((L, D))

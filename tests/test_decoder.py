@@ -10,7 +10,7 @@ from panelqa import decoder as dec
 from panelqa import encoder as enc
 from panelqa import model as mdl
 from panelqa.tensor import Rng, ShapeError, Tensor, grad_check
-from test_encoder import naive_attention
+from test_encoder import naive_attention, naive_layer_norm
 
 
 class TestMakeQueries:
@@ -34,15 +34,9 @@ class TestMakeQueries:
         for seed in range(20):
             x = Rng(100 + seed).normal((3, 16))
             got = dec.make_queries(Tensor(x[None]), qb, heads).data[0]
-            normed = _naive_layer_norm(x, qb.ln_gain.data, qb.ln_bias.data)
+            normed = naive_layer_norm(x, qb.ln_gain.data, qb.ln_bias.data)
             want = naive_attention(normed, normed, qb.attn, heads) + x
             assert np.max(np.abs(got - want)) <= 1e-10
-
-
-def _naive_layer_norm(x, gain, bias, eps=1e-6):
-    mu = x.mean(axis=-1, keepdims=True)
-    sd = np.sqrt(x.var(axis=-1, keepdims=True) + eps)
-    return (x - mu) / sd * gain + bias
 
 
 def _naive_gelu(x):
@@ -81,7 +75,7 @@ class TestCrossAttend:
             got, _ = dec.cross_attend(Tensor(q[None]), Tensor(kv[None]), cb,
                                       heads)
             mid = naive_attention(
-                _naive_layer_norm(q, cb.lnq_gain.data, cb.lnq_bias.data),
+                naive_layer_norm(q, cb.lnq_gain.data, cb.lnq_bias.data),
                 kv, cb.attn, heads) + q
             h = _naive_gelu(mid @ cb.mlp_w1.data + cb.mlp_b1.data)
             want = h @ cb.mlp_w2.data + cb.mlp_b2.data
@@ -158,7 +152,8 @@ class TestPredict:
 
 class TestTapeNodes:
     def test_criterion7_forward_panel_node_count(self, monkeypatch):
-        # each attention and each affine map (with its bias) is one node
+        # each pre-norm residual half, each affine map (with its bias) and
+        # each GELU is one node
         cfg = toy_config(patch_size=4, token_dim=64, heads=4, encoder_depth=4,
                          decoder_depth=1, panel_size=6, mlp_ratio=4.0,
                          crop_hw=16)
@@ -173,12 +168,12 @@ class TestTapeNodes:
 
         monkeypatch.setattr(Tensor, "_make", staticmethod(counting))
         mdl.forward_panel(model, Tensor(np.zeros((2, 3, 16, 16), np.float32)))
-        assert len(made) == 51
+        assert len(made) == 23
         assert made.count("attention") == 4 + 1 + 1
         assert Counter(made) == {
-            "matmul": 13, "Tensor.__add__": 12, "layer_norm": 10,
-            "attention": 6, "gelu": 6, "Tensor.__getitem__": 2,
-            "_prepend_cls": 1, "Tensor.reshape": 1}
+            "attention": 6, "matmul": 5, "mlp": 4, "Tensor.__add__": 2,
+            "Tensor.__getitem__": 2, "gelu": 2, "_prepend_cls": 1,
+            "Tensor.reshape": 1}
 
     @pytest.mark.parametrize("variant", enc.VARIANTS)
     def test_every_forward_node_records(self, monkeypatch, variant):
@@ -198,6 +193,34 @@ class TestTapeNodes:
         mdl.forward_panel(model, images)
         assert made
         assert [name for name, out in made if not out.requires_grad] == []
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("variant", enc.VARIANTS)
+    def test_no_vjp_writes_into_its_incoming_gradient(self, monkeypatch,
+                                                      variant, dtype):
+        # `Tensor.__add__` hands one gradient array to both of its parents,
+        # so a vjp that wrote into its `g` would corrupt the other's
+        cfg = toy_config(patch_size=4, token_dim=64, heads=4, encoder_depth=4,
+                         decoder_depth=2, panel_size=6, mlp_ratio=4.0,
+                         crop_hw=16, variant=variant)
+        model = mdl.init_model(cfg, Rng(0), dtype=dtype)
+        make = Tensor._make
+
+        def guarded(data, parents, vjp):
+            def read_only_g(g):
+                g = g.view()
+                g.flags.writeable = False
+                return vjp(g)
+
+            return make(data, parents, read_only_g)
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(guarded))
+        images = Tensor(Rng(19).uniform((3, 3, 16, 16)))
+        scores = mdl.forward_scores(model, images)
+        (scores * scores).sum().backward()
+        params = model.named_parameters().values()
+        assert all(p.grad is not None for p in params)
 
 
 class TestVariants:

@@ -7,7 +7,7 @@ from panelqa import config
 from panelqa import encoder as enc
 from panelqa.encoder import ModelConfig
 from panelqa.tensor import (Rng, ShapeError, Tensor, _unbroadcast, grad_check,
-                            matmul, softmax_lastdim)
+                            layer_norm, matmul, softmax_lastdim)
 
 
 def naive_softmax(v):
@@ -32,6 +32,24 @@ def naive_attention(q_in, kv_in, p, heads):
             w = naive_softmax(scores)
             ctx[i, sl] = sum(w[j] * vh[j] for j in range(Mk))
     return ctx @ p.wo.data + p.bo.data
+
+
+def naive_layer_norm(x, gain, bias, eps=1e-6):
+    mu = x.mean(axis=-1, keepdims=True)
+    sd = np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+    return (x - mu) / sd * gain + bias
+
+
+def naive_residual_attention(x, block, heads):
+    """``x + MHA(LN(x), LN(x))`` of an encoder block on (M, D) arrays."""
+    normed = naive_layer_norm(x, block.ln1_gain.data, block.ln1_bias.data)
+    return naive_attention(normed, normed, block.attn, heads) + x
+
+
+def self_attention(x, block, heads, **kwargs):
+    """`attention` of an encoder block's first half."""
+    return enc.attention(x, block.ln1_gain, block.ln1_bias, block.attn, heads,
+                         **kwargs)
 
 
 def transpose(x, *axes):
@@ -81,6 +99,15 @@ def random_attention(seed, dtype):
         t.data = t.data.astype(dtype)
         t.data += rng.normal(t.shape, std=0.3, dtype=dtype)
     return p
+
+
+def random_norm(seed, dtype):
+    """Layer-norm gain and bias away from one and zero."""
+    rng = Rng((seed, "norm"))
+    return (Tensor(1.0 + rng.normal((16,), std=0.3, dtype=dtype),
+                   requires_grad=True),
+            Tensor(rng.normal((16,), std=0.3, dtype=dtype),
+                   requires_grad=True))
 
 
 def zero_out_projections(model):
@@ -193,65 +220,67 @@ class TestEmbed:
 class TestMhsa:
     def test_single_token(self, model):
         p = model.config
-        block = model.enc_blocks[0].attn
+        block = model.enc_blocks[0]
         x = Rng(4).normal((1, p.token_dim))
-        t = Tensor(x[None])
-        out = enc.attention(t, t, block, p.heads).data[0]
-        npt.assert_allclose(out, naive_attention(x, x, block, p.heads),
+        out = self_attention(Tensor(x[None]), block, p.heads).data[0]
+        npt.assert_allclose(out, naive_residual_attention(x, block, p.heads),
                             atol=1e-12)
 
     def test_identical_rows_identical_outputs(self, model):
         p = model.config
-        block = model.enc_blocks[0].attn
+        block = model.enc_blocks[0]
         row = Rng(5).normal((1, p.token_dim))
         x = np.repeat(row, 5, axis=0)
-        t = Tensor(x[None])
-        out = enc.attention(t, t, block, p.heads).data[0]
+        out = self_attention(Tensor(x[None]), block, p.heads).data[0]
         npt.assert_allclose(out, np.repeat(out[:1], 5, axis=0), atol=1e-12)
 
     def test_vs_naive_oracle_20_seeds(self, model):
         p = model.config
-        block = model.enc_blocks[0].attn
+        block = model.enc_blocks[0]
         for seed in range(20):
             x = Rng(seed).normal((6, p.token_dim))
-            t = Tensor(x[None])
-            got = enc.attention(t, t, block, p.heads).data[0]
-            want = naive_attention(x, x, block, p.heads)
+            got = self_attention(Tensor(x[None]), block, p.heads).data[0]
+            want = naive_residual_attention(x, block, p.heads)
             assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_attention_rows_sum_to_one(self, model):
         p = model.config
         x = Tensor(Rng(6).normal((1, 7, p.token_dim)))
-        _, w = enc.attention(x, x, model.enc_blocks[0].attn, p.heads,
-                             return_weights=True)
+        _, w = self_attention(x, model.enc_blocks[0], p.heads,
+                              return_weights=True)
         npt.assert_allclose(w.sum(axis=-1), np.ones((1, p.heads, 7)),
                             atol=1e-6)
 
 
 class TestFusedAttention:
     """`attention` is one tape node with a hand-written vjp; it must agree
-    with the composed ops it replaced, self and cross, values and every
-    gradient."""
+    with the composed ops it replaced, ``x + attention(layer_norm(x), kv)``,
+    self and cross, values and every gradient."""
 
     @pytest.mark.parametrize("dtype,atol,rtol", [(np.float64, 1e-12, 0.0),
                                                  (np.float32, 1e-5, 1e-4)])
     @pytest.mark.parametrize("cross", [False, True])
     def test_matches_composed_reference(self, cross, dtype, atol, rtol):
         results = []
-        for fn in (enc.attention, composed_attention):
+        for fused in (True, False):
             p = random_attention(20, dtype)
+            gain, bias = random_norm(20, dtype)
             rng = Rng(21)
             x = Tensor(rng.normal((3, 5, 16), dtype=dtype), requires_grad=True)
             kv = (Tensor(rng.normal((3, 7, 16), dtype=dtype),
-                         requires_grad=True) if cross else x)
-            if fn is enc.attention:
-                out, w = fn(x, kv, p, 2, return_weights=True)
+                         requires_grad=True) if cross else None)
+            if fused:
+                out, w = enc.attention(x, gain, bias, p, 2, kv=kv,
+                                       return_weights=True)
             else:
-                out, w = fn(x, kv, p, 2)
+                h = layer_norm(x, gain, bias)
+                out, w = composed_attention(h, h if kv is None else kv, p, 2)
+                out = out + x
             upstream = Tensor(rng.normal(out.shape, dtype=dtype))
             (out * upstream).sum().backward()
             grads = [t.grad for t in vars(p).values()]
-            results.append([out.data, w, x.grad, kv.grad] + grads)
+            results.append([out.data, w, x.grad, gain.grad, bias.grad]
+                           + ([kv.grad] if cross else []) + grads)
         assert results[0][1].shape == (3, 2, 5, 7 if cross else 5)
         for got, want in zip(*results):
             assert got.dtype == dtype
@@ -260,11 +289,12 @@ class TestFusedAttention:
     def test_returned_weights_are_a_copy(self):
         # writing to the returned weights leaves the backward pass alone
         p = random_attention(22, np.float64)
+        gain, bias = random_norm(22, np.float64)
         x = Tensor(Rng(23).normal((1, 4, 16)), requires_grad=True)
         grads = []
         for scribble in (False, True):
             x.zero_grad()
-            out, w = enc.attention(x, x, p, 2, return_weights=True)
+            out, w = enc.attention(x, gain, bias, p, 2, return_weights=True)
             if scribble:
                 w[...] = 0.0
             out.sum().backward()
@@ -273,30 +303,32 @@ class TestFusedAttention:
 
     def test_unbatched_or_mismatched_rejected(self):
         p = random_attention(24, np.float64)
-        x = Tensor(np.zeros((4, 16)))
+        gain, bias = random_norm(24, np.float64)
         with pytest.raises(ShapeError, match="B, M, D"):
-            enc.attention(x, x, p, 2)
+            enc.attention(Tensor(np.zeros((4, 16))), gain, bias, p, 2)
         with pytest.raises(ShapeError, match="B, Mk, D"):
-            enc.attention(Tensor(np.zeros((2, 4, 16))),
-                          Tensor(np.zeros((1, 5, 16))), p, 2)
+            enc.attention(Tensor(np.zeros((2, 4, 16))), gain, bias, p, 2,
+                          kv=Tensor(np.zeros((1, 5, 16))))
 
     @pytest.mark.parametrize("cross", [False, True])
     def test_grad_check(self, cross):
         p = random_attention(25, np.float64)
+        gain, bias = random_norm(25, np.float64)
         rng = Rng(26)
         x = Tensor(rng.normal((2, 4, 16)) * 0.5, requires_grad=True)
         kv = (Tensor(rng.normal((2, 5, 16)) * 0.5, requires_grad=True)
-              if cross else x)
+              if cross else None)
         upstream = Tensor(rng.normal((2, 4, 16)))
         # softmax ignores a shift shared by a row's scores, so bk's gradient
         # is zero and its finite differences are rounding noise
         params = {k: t for k, t in vars(p).items() if k != "bk"}
-        params["x"] = x
+        params.update(x=x, gain=gain, bias=bias)
         if cross:
             params["kv"] = kv
 
         def f():
-            return (enc.attention(x, kv, p, 2) * upstream).sum()
+            return (enc.attention(x, gain, bias, p, 2, kv=kv)
+                    * upstream).sum()
 
         # the same bound as the mhsa check of TestEncoderBlock
         assert grad_check(f, params, eps=1e-4) <= 1e-5
@@ -318,14 +350,14 @@ class TestEncoderBlock:
 
     def test_mhsa_grad_check(self, model):
         # single self-attention block, random 8-token input, eps 1e-4
-        block = model.enc_blocks[0].attn
+        block = model.enc_blocks[0]
         x = Tensor(Rng(9).normal((8, 16))[None] * 0.5)
-        params = {"wq": block.wq, "bq": block.bq, "wk": block.wk,
-                  "bk": block.bk, "wv": block.wv, "bv": block.bv,
-                  "wo": block.wo, "bo": block.bo}
+        params = dict(vars(block.attn))
+        minus_x = Tensor(-x.data)
 
         def f():
-            out = enc.attention(x, x, block, model.config.heads)
+            # the attention branch alone: the residual would swamp the loss
+            out = self_attention(x, block, model.config.heads) + minus_x
             return (out * out).mean()
 
         assert grad_check(f, params, eps=1e-4) <= 1e-5

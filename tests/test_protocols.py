@@ -145,6 +145,23 @@ class TestTrainFrac:
         assert (r.srcc, r.plcc) == proto.run_split_train_eval(
             man, mc, tc, r.seed, train_frac=0.5, train_groups=0.4)
 
+    def test_data_efficiency_seeds_follow_the_rounded_percent(
+            self, monkeypatch):
+        # int(0.29 * 100) is 28: truncation gave 0.28 and 0.29 one seed
+        monkeypatch.setattr(proto, "run_split_train_eval",
+                            lambda *args, **kwargs: (0.0, 0.0))
+        mc, tc = fast_cfgs()
+        rep = proto.protocol_data_efficiency(tiny_corpus(bases=10), mc, tc,
+                                             repeats=1,
+                                             fractions=(0.28, 0.29, 0.57))
+        assert [r.seed for r in rep.results] == [
+            proto.derive_seed(tc.seed, offset)
+            for offset in (28000, 29000, 57000)]
+        with pytest.raises(ValueError, match="fractions 0.281 and 0.284 "
+                                             "share the seed offset 28000"):
+            proto.protocol_data_efficiency(tiny_corpus(bases=10), mc, tc,
+                                           repeats=1, fractions=(0.281, 0.284))
+
     def test_fraction_above_train_frac_rejected_before_any_run(
             self, monkeypatch):
         def fit(*args, **kwargs):

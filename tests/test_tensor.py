@@ -6,7 +6,7 @@ import pytest
 
 from panelqa.tensor import (GradError, NonFiniteError, Rng, ShapeError, Tensor,
                             _unbroadcast, gelu, grad_check, layer_norm, matmul,
-                            no_grad, softmax_lastdim)
+                            mlp, no_grad, softmax_lastdim)
 
 
 def power_gelu(x):
@@ -222,6 +222,33 @@ class TestGelu:
         assert out.dtype == dtype and x.grad.dtype == dtype
         assert np.max(np.abs(out.data - want)) <= atol
         assert np.max(np.abs(x.grad - g * dwant)) <= atol
+
+
+class TestMlp:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_composed_nodes_bit_for_bit(self, dtype):
+        # x + gelu(LN(x) @ w1 + b1) @ w2 + b2 as one node, against the five
+        # nodes it fuses: the forward and all seven gradients
+        rng = Rng(27)
+        shapes = [(3, 5, 16), (16,), (16,), (16, 32), (32,), (32, 16), (16,)]
+        values = [rng.normal(shape, dtype=dtype) for shape in shapes]
+        values[1] += 1.0
+        upstream = Tensor(rng.normal((3, 5, 16), dtype=dtype))
+        results = []
+        for fused in (True, False):
+            x, gain, bias, w1, b1, w2, b2 = (
+                Tensor(v.copy(), requires_grad=True) for v in values)
+            if fused:
+                out = mlp(x, gain, bias, w1, b1, w2, b2)
+            else:
+                h = gelu(matmul(layer_norm(x, gain, bias), w1, b1))
+                out = matmul(h, w2, b2) + x
+            (out * upstream).sum().backward()
+            results.append([out.data] + [t.grad for t in
+                                         (x, gain, bias, w1, b1, w2, b2)])
+        for got, want in zip(*results):
+            assert got.dtype == dtype
+            npt.assert_array_equal(got, want)
 
 
 class TestBackward:
