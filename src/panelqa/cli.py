@@ -65,8 +65,7 @@ SCHEMA = keys(ModelConfig, TrainConfig, RunConfig)
 
 
 def parse_config_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read(), SCHEMA, path)
+    return parse(dat.read_text(path, ConfigError), SCHEMA, path)
 
 
 def build_run_config(args: argparse.Namespace, ckpt=None) -> RunConfig:

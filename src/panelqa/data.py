@@ -265,6 +265,20 @@ def read_image(path: str) -> np.ndarray:
     return img.astype(np.float64) / 255.0
 
 
+def read_text(path: str, error=ValueError) -> str:
+    """The UTF-8 text of ``path``, newlines read as ``open`` reads them; a
+    byte that is not UTF-8 raises ``error`` naming the file, line and byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: byte {exc.start} is not UTF-8 "
+                    f"({exc.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def write_manifest(path: str, manifest: Manifest) -> None:
     """CSV with header path,score,group; image_refs must be file paths."""
     with atomic_write(path) as fh:
@@ -277,40 +291,38 @@ def write_manifest(path: str, manifest: Manifest) -> None:
 
 def read_manifest(path: str) -> Manifest:
     """Relative image paths resolve against the manifest's directory, and
-    whitespace around a field is dropped. A bad row raises ValueError
-    starting with ``path:line:`` and naming the field; a manifest without
-    rows raises one starting with ``path:``."""
+    whitespace around a field is dropped. A bad row, or a byte that is not
+    UTF-8, raises ValueError starting with ``path:line:``; a manifest
+    without rows raises one starting with ``path:``."""
     samples = []
     seen = set()
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "path,score,group":
-            raise ValueError(f"{path}: bad manifest header {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = [part.strip() for part in line.split(",")]
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{line_no}: expected 3 fields")
-            ref, score, group = parts
-            if not ref:
-                raise ValueError(f"{path}:{line_no}: empty image path")
-            image = os.path.join(base, ref)
-            key = os.path.normpath(image)   # ./a.ppm is a.ppm
-            if key in seen:
-                raise ValueError(f"{path}:{line_no}: duplicate image {ref}")
-            seen.add(key)
-            try:
-                value = float(score)
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: score {score!r} is not "
-                                 f"a number") from None
-            try:   # Sample rejects a non-finite score and an empty group
-                samples.append(Sample(image, value, group))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
+    header, *rows = [line.strip() for line in read_text(path).split("\n")]
+    if header != "path,score,group":
+        raise ValueError(f"{path}: bad manifest header {header!r}")
+    for line_no, line in enumerate(rows, start=2):
+        if not line:
+            continue
+        parts = [part.strip() for part in line.split(",")]
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{line_no}: expected 3 fields")
+        ref, score, group = parts
+        if not ref:
+            raise ValueError(f"{path}:{line_no}: empty image path")
+        image = os.path.join(base, ref)
+        key = os.path.normpath(image)   # ./a.ppm is a.ppm
+        if key in seen:
+            raise ValueError(f"{path}:{line_no}: duplicate image {ref}")
+        seen.add(key)
+        try:
+            value = float(score)
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: score {score!r} is not "
+                             f"a number") from None
+        try:   # Sample rejects a non-finite score and an empty group
+            samples.append(Sample(image, value, group))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
     if not samples:
         raise ValueError(f"{path}: manifest has no rows")
     return Manifest(samples)

@@ -9,66 +9,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .encoder import (AttentionParams, ModelConfig, attention, init_attention,
-                      _ones, _param, _zeros)
-from .tensor import Rng, Tensor, gelu, matmul
+from .encoder import AttentionParams, attention, param
+from .tensor import Tensor, gelu, matmul
 from .tensor import layer_norm  # noqa: F401  perfbench wraps it here
 
 
 @dataclass
 class QueryBlockParams:
     """Self-attention block that turns panel inputs into decoder queries."""
-    ln_gain: Tensor
-    ln_bias: Tensor
-    attn: AttentionParams
+    ln_gain: Tensor = param("ones", "D")
+    ln_bias: Tensor = param("zeros", "D")
+    attn: AttentionParams = param(AttentionParams)
 
 
 @dataclass
 class CrossBlockParams:
     """One cross-attention layer: query norm, MHCA, then an MLP."""
-    lnq_gain: Tensor
-    lnq_bias: Tensor
-    attn: AttentionParams
-    mlp_w1: Tensor
-    mlp_b1: Tensor
-    mlp_w2: Tensor
-    mlp_b2: Tensor
+    lnq_gain: Tensor = param("ones", "D")
+    lnq_bias: Tensor = param("zeros", "D")
+    attn: AttentionParams = param(AttentionParams)
+    mlp_w1: Tensor = param("normal", "D", "Dm")
+    mlp_b1: Tensor = param("zeros", "Dm")
+    mlp_w2: Tensor = param("normal", "Dm", "D")
+    mlp_b2: Tensor = param("zeros", "D")
 
 
 @dataclass
 class HeadParams:
     """Shared scoring MLP, D -> D/2 -> 1 with GELU."""
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-
-def init_query_block(cfg: ModelConfig, rng: Rng) -> QueryBlockParams:
-    D = cfg.token_dim
-    return QueryBlockParams(ln_gain=_ones((D,)), ln_bias=_zeros((D,)),
-                            attn=init_attention(cfg, rng))
-
-
-def init_cross_block(cfg: ModelConfig, rng: Rng) -> CrossBlockParams:
-    D, Dm = cfg.token_dim, cfg.mlp_dim
-    return CrossBlockParams(
-        lnq_gain=_ones((D,)), lnq_bias=_zeros((D,)),
-        attn=init_attention(cfg, rng),
-        mlp_w1=_param(rng, (D, Dm)), mlp_b1=_zeros((Dm,)),
-        mlp_w2=_param(rng, (Dm, D)), mlp_b2=_zeros((D,)))
-
-
-def init_head(cfg: ModelConfig, rng: Rng) -> HeadParams:
-    D = cfg.token_dim
-    Dh = max(1, D // 2)
-    return HeadParams(w1=_param(rng, (D, Dh)), b1=_zeros((Dh,)),
-                      w2=_param(rng, (Dh, 1)), b2=_zeros((1,)))
-
-
-def init_panel(cfg: ModelConfig, rng: Rng) -> Tensor:
-    """Panel embeddings J, one row per member, small random init."""
-    return _param(rng, (cfg.panel_size, cfg.token_dim))
+    w1: Tensor = param("normal", "D", "Dh")
+    b1: Tensor = param("zeros", "Dh")
+    w2: Tensor = param("normal", "Dh", "1")
+    b2: Tensor = param("zeros", "1")
 
 
 def make_queries(x: Tensor, block: QueryBlockParams, heads: int) -> Tensor:

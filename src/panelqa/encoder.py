@@ -6,7 +6,7 @@ tensors (B, M, D).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -65,80 +65,71 @@ class ModelConfig:
         return int(round(self.mlp_ratio * self.token_dim))
 
 
+def param(init, *shape, **kwargs):
+    """A record field's declaration: its initializer, "normal", "zeros",
+    "ones" or a record class, and its shape as names of `_dims`; ``kwargs``
+    go to ``dataclasses.field``."""
+    return field(metadata={"init": init, "shape": shape}, **kwargs)
+
+
 @dataclass
 class AttentionParams:
     """Q/K/V/output projections for one multi-head attention block."""
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
+    wq: Tensor = param("normal", "D", "D")
+    bq: Tensor = param("zeros", "D")
+    wk: Tensor = param("normal", "D", "D")
+    bk: Tensor = param("zeros", "D")
+    wv: Tensor = param("normal", "D", "D")
+    bv: Tensor = param("zeros", "D")
+    wo: Tensor = param("normal", "D", "D")
+    bo: Tensor = param("zeros", "D")
 
 
 @dataclass
 class EncoderBlockParams:
-    ln1_gain: Tensor
-    ln1_bias: Tensor
-    attn: AttentionParams
-    ln2_gain: Tensor
-    ln2_bias: Tensor
-    mlp_w1: Tensor
-    mlp_b1: Tensor
-    mlp_w2: Tensor
-    mlp_b2: Tensor
+    ln1_gain: Tensor = param("ones", "D")
+    ln1_bias: Tensor = param("zeros", "D")
+    attn: AttentionParams = param(AttentionParams)
+    ln2_gain: Tensor = param("ones", "D")
+    ln2_bias: Tensor = param("zeros", "D")
+    mlp_w1: Tensor = param("normal", "D", "Dm")
+    mlp_b1: Tensor = param("zeros", "Dm")
+    mlp_w2: Tensor = param("normal", "Dm", "D")
+    mlp_b2: Tensor = param("zeros", "D")
 
 
 @dataclass
 class EmbeddingParams:
-    patch_proj_w: Tensor  # (p*p*C, D)
-    patch_proj_b: Tensor  # (D,)
-    cls_token: Tensor     # (1, D)
-    pos_embed: Tensor     # (N+1, D)
+    patch_proj_w: Tensor = param("normal", "P", "D")
+    patch_proj_b: Tensor = param("zeros", "D")
+    cls_token: Tensor = param("normal", "1", "D")
+    pos_embed: Tensor = param("normal", "N+1", "D")
 
 
-def _param(rng: Rng, shape) -> Tensor:
-    """Weights drawn from a normal with std 0.02, truncated at two std."""
-    return Tensor(rng.trunc_normal(shape), requires_grad=True)
-
-
-def _zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
-
-
-def _ones(shape) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=True)
-
-
-def init_attention(cfg: ModelConfig, rng: Rng) -> AttentionParams:
+def _dims(cfg: ModelConfig) -> dict[str, int]:
     D = cfg.token_dim
-    return AttentionParams(
-        wq=_param(rng, (D, D)), bq=_zeros((D,)),
-        wk=_param(rng, (D, D)), bk=_zeros((D,)),
-        wv=_param(rng, (D, D)), bv=_zeros((D,)),
-        wo=_param(rng, (D, D)), bo=_zeros((D,)))
+    return {"D": D, "Dm": cfg.mlp_dim, "Dh": max(1, D // 2),
+            "P": cfg.patch_size ** 2 * cfg.channels,
+            "N+1": cfg.num_patches + 1, "L": cfg.panel_size, "1": 1}
 
 
-def init_encoder_block(cfg: ModelConfig, rng: Rng) -> EncoderBlockParams:
-    D, Dm = cfg.token_dim, cfg.mlp_dim
-    return EncoderBlockParams(
-        ln1_gain=_ones((D,)), ln1_bias=_zeros((D,)),
-        attn=init_attention(cfg, rng),
-        ln2_gain=_ones((D,)), ln2_bias=_zeros((D,)),
-        mlp_w1=_param(rng, (D, Dm)), mlp_b1=_zeros((Dm,)),
-        mlp_w2=_param(rng, (Dm, D)), mlp_b2=_zeros((D,)))
+def init_params(cls, cfg: ModelConfig, rng: Rng):
+    """A ``cls`` record drawn in field order, so that the draws follow the
+    record (and checkpoint) order."""
+    return cls(**{f.name: init_field(f, cfg, rng) for f in fields(cls)})
 
 
-def init_embedding(cfg: ModelConfig, rng: Rng) -> EmbeddingParams:
-    D = cfg.token_dim
-    pd = cfg.patch_size * cfg.patch_size * cfg.channels
-    return EmbeddingParams(
-        patch_proj_w=_param(rng, (pd, D)),
-        patch_proj_b=_zeros((D,)),
-        cls_token=_param(rng, (1, D)),
-        pos_embed=_param(rng, (cfg.num_patches + 1, D)))
+def init_field(f: Field, cfg: ModelConfig, rng: Rng):
+    """The parameter ``f`` declares: a nested record, or a tensor of zeros,
+    ones or weights from a normal with std 0.02 truncated at two std,
+    drawn in float64."""
+    init = f.metadata["init"]
+    if not isinstance(init, str):
+        return init_params(init, cfg, rng)
+    dims = _dims(cfg)
+    shape = tuple(dims[d] for d in f.metadata["shape"])
+    fill = {"normal": rng.trunc_normal, "zeros": np.zeros, "ones": np.ones}
+    return Tensor(fill[init](shape), requires_grad=True)
 
 
 def patchify(image: np.ndarray, p: int) -> np.ndarray:

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import decoder as dec
 from . import encoder as enc
-from .encoder import EmbeddingParams, EncoderBlockParams, ModelConfig
+from .encoder import (EmbeddingParams, EncoderBlockParams, ModelConfig,
+                      init_field, init_params, param)
 from .tensor import Rng, ShapeError, Tensor, no_grad
 
 
@@ -31,8 +32,9 @@ class QualityTransformer:
     config: ModelConfig
     embedding: EmbeddingParams
     enc_blocks: list[EncoderBlockParams]
-    panel: Optional[Tensor] = None                 # (L, D) embeddings
-    random_queries: Optional[Tensor] = None        # (L, D), image-independent
+    panel: Optional[Tensor] = param("normal", "L", "D", default=None)
+    # image-independent queries, drawn as the panel is
+    random_queries: Optional[Tensor] = param("normal", "L", "D", default=None)
     query_block: Optional[dec.QueryBlockParams] = None
     cross_blocks: Optional[list[dec.CrossBlockParams]] = None
     head: dec.HeadParams
@@ -63,18 +65,20 @@ def init_model(config: ModelConfig, rng: Rng, dtype=np.float64) -> QualityTransf
     """A fresh model with the parts of its variant, drawn in float64 and cast
     to ``dtype``; identical (seed, config) gives bit-identical parameters."""
     v = config.variant
+    declared = {f.name: f for f in fields(QualityTransformer)}
     parts = dict(
-        embedding=enc.init_embedding(config, rng),
-        enc_blocks=[enc.init_encoder_block(config, rng)
+        embedding=init_params(EmbeddingParams, config, rng),
+        enc_blocks=[init_params(EncoderBlockParams, config, rng)
                     for _ in range(config.encoder_depth)],
-        head=dec.init_head(config, rng))
+        head=init_params(dec.HeadParams, config, rng))
     if v in ("full", "panel_no_decoder"):
-        parts["panel"] = dec.init_panel(config, rng)
+        parts["panel"] = init_field(declared["panel"], config, rng)
     if v == "decoder_random_queries":
-        parts["random_queries"] = dec.init_panel(config, rng)
+        parts["random_queries"] = init_field(declared["random_queries"],
+                                             config, rng)
     if v in DECODER_VARIANTS:
-        parts["query_block"] = dec.init_query_block(config, rng)
-        parts["cross_blocks"] = [dec.init_cross_block(config, rng)
+        parts["query_block"] = init_params(dec.QueryBlockParams, config, rng)
+        parts["cross_blocks"] = [init_params(dec.CrossBlockParams, config, rng)
                                  for _ in range(config.decoder_depth)]
     model = QualityTransformer(config=config, **parts)
     for p in model.named_parameters().values():

@@ -16,10 +16,10 @@ from conftest import rand_image, toy_config, toy_model
 from panelqa.checkpoint import build_model, load_checkpoint, save_checkpoint
 from panelqa.data import (Manifest, Sample, gen_base_images,
                           gen_synthetic_dataset, split)
-from panelqa.decoder import (cross_attend, init_cross_block, init_query_block,
+from panelqa.decoder import (CrossBlockParams, QueryBlockParams, cross_attend,
                              make_queries)
-from panelqa.encoder import (ModelConfig, attention, encode, init_attention,
-                             patchify)
+from panelqa.encoder import (AttentionParams, ModelConfig, attention, encode,
+                             init_params, patchify)
 from panelqa.metrics import (cls_grad_stats, evaluate, panel_cosine, plcc,
                              srcc, steps_to_variance_decay)
 from panelqa.model import forward_panel, forward_scores, init_model
@@ -115,7 +115,7 @@ class TestCriterion2:
         for seed in range(20):
             rng = Rng(("oracle", seed))
             # self-attention against the loop oracle: MHSA(Norm(x)) + x
-            p = init_attention(cfg, rng.child(0))
+            p = init_params(AttentionParams, cfg, rng.child(0))
             x = rng.normal((9, D))
             gain, bias = np.ones(D), np.zeros(D)
             got = attention(Tensor(x[None]), Tensor(gain), Tensor(bias), p,
@@ -124,7 +124,7 @@ class TestCriterion2:
             want = naive_attention(normed, normed, p, h) + x
             worst = max(worst, np.abs(got - want).max())
             # make_queries: MHSA(Norm(cls + panel)) + (cls + panel)
-            qb = init_query_block(cfg, rng.child(1))
+            qb = init_params(QueryBlockParams, cfg, rng.child(1))
             q_in = rng.normal((1, D)) + rng.normal((L, D))
             got_q = make_queries(Tensor(q_in[None]), qb, h).data[0]
             normed = np.stack([naive_ln(r, qb.ln_gain.data, qb.ln_bias.data)
@@ -132,7 +132,7 @@ class TestCriterion2:
             want_q = naive_attention(normed, normed, qb.attn, h) + q_in
             worst = max(worst, np.abs(got_q - want_q).max())
             # cross_attend: MLP(MHCA(Norm(q), kv) + q), no trailing residual
-            cb = init_cross_block(cfg, rng.child(2))
+            cb = init_params(CrossBlockParams, cfg, rng.child(2))
             q2 = rng.normal((L, D))
             kv = rng.normal((7, D))
             out, _ = cross_attend(Tensor(q2[None]), Tensor(kv[None]), cb, h)

@@ -503,6 +503,13 @@ class TestInputsCheckedFirst:
         pytest.param(["eval", "--checkpoint", "{ckpt}", "--manifest", "{flat}"],
                      "flat.csv: evaluate needs two distinct scores",
                      id="eval-equal-scores"),
+        pytest.param(["protocol", "--manifest", "{latin1.csv}"],
+                     "ValueError: {latin1.csv}:2: byte 20 is not UTF-8 "
+                     "(invalid continuation byte)", id="protocol-latin1"),
+        pytest.param(["train", "--manifest", "{data}",
+                      "--config", "{latin1.cfg}"],
+                     "ConfigError: {latin1.cfg}:1: byte 17 is not UTF-8 "
+                     "(invalid continuation byte)", id="train-latin1-config"),
     ])
     def test_failure_leaves_no_output_directory(self, capsys, tmp_path,
                                                 toy_cfg_file, toy_dataset,
@@ -544,6 +551,12 @@ class TestInputsCheckedFirst:
                                         f"rows{n}.csv")
                 with open(names[a], "w") as fh:
                     fh.writelines(head)
+            elif a in ("{latin1.csv}", "{latin1.cfg}"):   # a Latin-1 byte
+                names[a] = str(tmp_path / a[1:-1])
+                with open(names[a], "wb") as fh:
+                    fh.write(b"path,score,group\nimg\xe9.ppm,0.5,g1\n"
+                             if a == "{latin1.csv}" else
+                             b"# token size, caf\xe9 recipe\ntoken_dim = 16\n")
             elif a == "{flat}":   # the toy manifest, every score 0.5
                 with open(toy_dataset) as fh:
                     header, *rows = [line.split(",") for line in fh]
@@ -554,12 +567,14 @@ class TestInputsCheckedFirst:
                         [path, "0.5", group] for path, _, group in rows])
         out = tmp_path / "o"
         capsys.readouterr()
+        config = [] if "--config" in argv else ["--config", toy_cfg_file]
         assert main([names.get(a, a) for a in argv]
-                    + ["--config", toy_cfg_file, "--out", str(out)]) == 1
+                    + config + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert message.replace("{ckpt}", ckpt32).replace(
-            "{image8}", names.get("{image8}", "")) in err
+        for name in ("{ckpt}", "{image8}", "{latin1.csv}", "{latin1.cfg}"):
+            message = message.replace(name, names.get(name, ""))
+        assert message in err
         assert not out.exists()
 
     def test_resume_float32_without_config_or_precision(self, tmp_path,

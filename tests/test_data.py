@@ -376,6 +376,20 @@ class TestFileIO:
             data.read_manifest(str(p))
         assert str(info.value) == f"{p}: manifest has no rows"
 
+    def test_non_utf8_byte_names_path_line_and_byte(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"path,score,group\nb.ppm,0.5,g1\nimg\xe9.ppm,0.5,g2\n")
+        with pytest.raises(ValueError) as info:
+            data.read_manifest(str(p))
+        assert str(info.value) == (f"{p}:3: byte 33 is not UTF-8 "
+                                   f"(invalid continuation byte)")
+
+    def test_crlf_and_cr_newlines_read_as_lines(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"path,score,group\r\na.ppm,1.0,g0\rb.ppm,0.5,g1\r\n")
+        m = data.read_manifest(str(p))
+        assert [s.group_id for s in m] == ["g0", "g1"]
+
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("file,mos\n")

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from collections import Counter
 
 import numpy as np
@@ -307,3 +308,79 @@ class TestDecoderGradients:
             return (diff * diff).sum()
 
         assert grad_check(f, params, eps=1e-4) <= 1e-4
+
+
+RECORDS = (enc.AttentionParams, enc.EncoderBlockParams, enc.EmbeddingParams,
+           dec.QueryBlockParams, dec.CrossBlockParams, dec.HeadParams)
+C7 = enc.ModelConfig(patch_size=4, token_dim=64, heads=4, encoder_depth=4,
+                     panel_size=6, crop_hw=16)
+
+
+def declared_shapes(cfg):
+    """Each record's tensor shapes, written out independently of the field
+    declarations; a nested attention record is listed under ``attn.``."""
+    D, Dm, Dh = cfg.token_dim, cfg.mlp_dim, max(1, cfg.token_dim // 2)
+    attn = {f"attn.{w}": (D, D) for w in ("wq", "wk", "wv", "wo")}
+    attn.update({f"attn.{b}": (D,) for b in ("bq", "bk", "bv", "bo")})
+    mlp = {"mlp_w1": (D, Dm), "mlp_b1": (Dm,), "mlp_w2": (Dm, D),
+           "mlp_b2": (D,)}
+    return {
+        enc.AttentionParams: {k[5:]: v for k, v in attn.items()},
+        enc.EncoderBlockParams: {"ln1_gain": (D,), "ln1_bias": (D,),
+                                 "ln2_gain": (D,), "ln2_bias": (D,),
+                                 **attn, **mlp},
+        enc.EmbeddingParams: {
+            "patch_proj_w": (cfg.patch_size ** 2 * cfg.channels, D),
+            "patch_proj_b": (D,), "cls_token": (1, D),
+            "pos_embed": (cfg.num_patches + 1, D)},
+        dec.QueryBlockParams: {"ln_gain": (D,), "ln_bias": (D,), **attn},
+        dec.CrossBlockParams: {"lnq_gain": (D,), "lnq_bias": (D,), **attn,
+                               **mlp},
+        dec.HeadParams: {"w1": (D, Dh), "b1": (Dh,), "w2": (Dh, 1),
+                         "b2": (1,)},
+    }
+
+
+def flat(record, prefix=""):
+    out = {}
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, Tensor):
+            out[prefix + f.name] = value
+        else:
+            out.update(flat(value, f"{prefix}{f.name}."))
+    return out
+
+
+class TestParamDeclarations:
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+    def test_every_field_declares_an_initializer(self, cls):
+        for f in dataclasses.fields(cls):
+            init = f.metadata.get("init")
+            assert init in ("normal", "zeros", "ones") or init in RECORDS, \
+                f"{cls.__name__}.{f.name}"
+
+    @pytest.mark.parametrize("cfg", [toy_config(), C7], ids=["toy", "c7"])
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+    def test_shapes_follow_the_declarations(self, cls, cfg):
+        got = flat(enc.init_params(cls, cfg, Rng(3)))
+        want = declared_shapes(cfg)[cls]
+        assert {k: t.shape for k, t in got.items()} == want
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_draws_follow_field_order(self, seed):
+        cfg = toy_config()
+        p = enc.init_params(enc.AttentionParams, cfg, Rng(seed))
+        rng, D = Rng(seed), cfg.token_dim
+        for w in (p.wq, p.wk, p.wv, p.wo):
+            npt.assert_array_equal(w.data, rng.trunc_normal((D, D)))
+        for cls in RECORDS:
+            for name, t in flat(enc.init_params(cls, cfg, Rng(seed))).items():
+                last = re.split(r"[._]", name)[-1]   # ln1_gain, bq, mlp_b1
+                if last == "gain":
+                    npt.assert_array_equal(t.data, 1.0)
+                elif last.startswith("b"):
+                    npt.assert_array_equal(t.data, 0.0)
+                else:
+                    assert 0 < np.abs(t.data).max() <= 0.04, name
+                assert t.requires_grad and t.dtype == np.float64

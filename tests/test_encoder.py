@@ -93,7 +93,7 @@ def composed_attention(q_in, kv_in, p, heads):
 
 def random_attention(seed, dtype):
     """Toy attention parameters with non-zero biases."""
-    p = enc.init_attention(toy_config(), Rng(seed))
+    p = enc.init_params(enc.AttentionParams, toy_config(), Rng(seed))
     rng = Rng((seed, "shift"))
     for t in vars(p).values():
         t.data = t.data.astype(dtype)

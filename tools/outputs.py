@@ -13,10 +13,12 @@ optimizer state (written into ``DIR`` after the file list), which pins the
 moment records. Last, it prints a hash over the image bytes of a second
 synthetic corpus (3 base images, every distortion kind at 5 levels, 24 x 24
 pixels), so that the data generator is covered at a schedule other than the
-toy corpus's. Output paths appear in stdout, so compare two trees by running
-each into the same ``DIR`` (remove it in between) and diffing the two prints.
-It exits 1 if a run failed. It takes a few seconds and is not part of the test
-suite.
+toy corpus's, and a hash over the names and bytes of ``init_model``'s
+parameters for every variant, in float32 and float64, at the criterion-7
+shape with ``decoder_depth`` 2. Output paths appear in stdout, so compare two
+trees by running each into the same ``DIR`` (remove it in between) and
+diffing the two prints. It exits 1 if a run failed. It takes a few seconds
+and is not part of the test suite.
 """
 from __future__ import annotations
 
@@ -95,6 +97,23 @@ def corpus_hash() -> str:
     return h.hexdigest()
 
 
+def init_hash() -> str:
+    """Every initializer, at a shape the toy config does not use."""
+    import dataclasses
+    import numpy as np
+    from panelqa import encoder, model
+    from panelqa.tensor import Rng
+    from workloads import C7
+    h = hashlib.sha256()
+    for variant in encoder.VARIANTS:
+        cfg = dataclasses.replace(C7, decoder_depth=2, variant=variant)
+        for dtype in (np.float32, np.float64):
+            m = model.init_model(cfg, Rng(("init", variant)), dtype=dtype)
+            for name, p in m.named_parameters().items():
+                h.update(name.encode() + p.data.tobytes())
+    return h.hexdigest()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or os.path.exists(argv[0]):
         print("usage: outputs.py DIR  (DIR must not exist)", file=sys.stderr)
@@ -108,6 +127,7 @@ def main(argv: list[str]) -> int:
               f"fit-float{precision}-{FIT_STEPS}-steps")
     print(f"{file_sha(ckpt)}  {os.path.basename(ckpt)}")
     print(f"{corpus_hash()}  corpus-3x5-hw24")
+    print(f"{init_hash()}  init-c7-depth2-all-variants")
     return 0 if ok else 1
 
 
