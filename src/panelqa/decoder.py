@@ -1,16 +1,15 @@
 """Quality-aware decoder: CLS-driven queries, panel embeddings, cross-attention.
 
-The decoder turns the encoder CLS token, summed with L learnable panel
-embeddings, into L queries via one self-attention block, cross-attends those
-queries to the patch features, and scores each resulting quality embedding
-with a shared MLP head. The image score is the mean of the L panel scores.
+CLS token plus L learnable panel embeddings -> L queries (one self-attention
+block) -> decoder layers, each an encoder block that attends to the patch
+features -> a shared MLP head per query; the image score is their mean.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .encoder import AttentionParams, attention, param
-from .tensor import Tensor, gelu, matmul
+from .encoder import AttentionParams, EncoderBlockParams, attention, param
+from .tensor import Tensor, gelu, matmul, mlp
 from .tensor import layer_norm  # noqa: F401  perfbench wraps it here
 
 
@@ -20,18 +19,6 @@ class QueryBlockParams:
     ln_gain: Tensor = param("ones", "D")
     ln_bias: Tensor = param("zeros", "D")
     attn: AttentionParams = param(AttentionParams)
-
-
-@dataclass
-class CrossBlockParams:
-    """One cross-attention layer: query norm, MHCA, then an MLP."""
-    lnq_gain: Tensor = param("ones", "D")
-    lnq_bias: Tensor = param("zeros", "D")
-    attn: AttentionParams = param(AttentionParams)
-    mlp_w1: Tensor = param("normal", "D", "Dm")
-    mlp_b1: Tensor = param("zeros", "Dm")
-    mlp_w2: Tensor = param("normal", "Dm", "D")
-    mlp_b2: Tensor = param("zeros", "D")
 
 
 @dataclass
@@ -49,16 +36,16 @@ def make_queries(x: Tensor, block: QueryBlockParams, heads: int) -> Tensor:
     return attention(x, block.ln_gain, block.ln_bias, block.attn, heads)
 
 
-def cross_attend(queries: Tensor, patch_feats: Tensor, block: CrossBlockParams,
-                 heads: int):
-    """One decoder layer: MHCA of normed (B, L, D) queries over (B, N, D)
-    patch features, residual, then the MLP. Returns (output, per-head
-    attention weights (B,h,L,N))."""
-    mid, weights = attention(queries, block.lnq_gain, block.lnq_bias,
+def cross_attend(queries: Tensor, patch_feats: Tensor,
+                 block: EncoderBlockParams, heads: int):
+    """One decoder layer: an encoder block over the (B, L, D) queries whose
+    attention takes the (B, N, D) patch features as keys and values. Returns
+    (output, per-head attention weights (B,h,L,N))."""
+    mid, weights = attention(queries, block.ln1_gain, block.ln1_bias,
                              block.attn, heads, kv=patch_feats,
                              return_weights=True)
-    h = gelu(matmul(mid, block.mlp_w1, block.mlp_b1))
-    return matmul(h, block.mlp_w2, block.mlp_b2), weights
+    return mlp(mid, block.ln2_gain, block.ln2_bias, block.mlp_w1,
+               block.mlp_b1, block.mlp_w2, block.mlp_b2), weights
 
 
 def score_head(embeddings: Tensor, head: HeadParams) -> Tensor:

@@ -21,7 +21,7 @@ from .encoder import (EmbeddingParams, EncoderBlockParams, ModelConfig,
 from .tensor import Rng, ShapeError, Tensor, no_grad
 
 
-# the variants with a query block and ``decoder_depth`` cross blocks
+# variants whose decoder is a query block and ``decoder_depth`` encoder blocks
 DECODER_VARIANTS = ("full", "decoder_random_queries", "decoder_cls_queries")
 
 
@@ -36,7 +36,7 @@ class QualityTransformer:
     # image-independent queries, drawn as the panel is
     random_queries: Optional[Tensor] = param("normal", "L", "D", default=None)
     query_block: Optional[dec.QueryBlockParams] = None
-    cross_blocks: Optional[list[dec.CrossBlockParams]] = None
+    cross_blocks: Optional[list[EncoderBlockParams]] = None
     head: dec.HeadParams
 
     @property
@@ -78,7 +78,7 @@ def init_model(config: ModelConfig, rng: Rng, dtype=np.float64) -> QualityTransf
                                              config, rng)
     if v in DECODER_VARIANTS:
         parts["query_block"] = init_params(dec.QueryBlockParams, config, rng)
-        parts["cross_blocks"] = [init_params(dec.CrossBlockParams, config, rng)
+        parts["cross_blocks"] = [init_params(EncoderBlockParams, config, rng)
                                  for _ in range(config.decoder_depth)]
     model = QualityTransformer(config=config, **parts)
     for p in model.named_parameters().values():

@@ -16,10 +16,9 @@ from conftest import rand_image, toy_config, toy_model
 from panelqa.checkpoint import build_model, load_checkpoint, save_checkpoint
 from panelqa.data import (Manifest, Sample, gen_base_images,
                           gen_synthetic_dataset, split)
-from panelqa.decoder import (CrossBlockParams, QueryBlockParams, cross_attend,
-                             make_queries)
-from panelqa.encoder import (AttentionParams, ModelConfig, attention, encode,
-                             init_params, patchify)
+from panelqa.decoder import QueryBlockParams, cross_attend, make_queries
+from panelqa.encoder import (AttentionParams, EncoderBlockParams, ModelConfig,
+                             attention, encode, init_params, patchify)
 from panelqa.metrics import (cls_grad_stats, evaluate, panel_cosine, plcc,
                              srcc, steps_to_variance_decay)
 from panelqa.model import forward_panel, forward_scores, init_model
@@ -131,16 +130,19 @@ class TestCriterion2:
                                for r in q_in])
             want_q = naive_attention(normed, normed, qb.attn, h) + q_in
             worst = max(worst, np.abs(got_q - want_q).max())
-            # cross_attend: MLP(MHCA(Norm(q), kv) + q), no trailing residual
-            cb = init_params(CrossBlockParams, cfg, rng.child(2))
+            # cross_attend: mid = MHCA(Norm1(q), kv) + q, then
+            # mid + MLP(Norm2(mid))
+            cb = init_params(EncoderBlockParams, cfg, rng.child(2))
             q2 = rng.normal((L, D))
             kv = rng.normal((7, D))
             out, _ = cross_attend(Tensor(q2[None]), Tensor(kv[None]), cb, h)
-            nq = np.stack([naive_ln(r, cb.lnq_gain.data, cb.lnq_bias.data)
+            nq = np.stack([naive_ln(r, cb.ln1_gain.data, cb.ln1_bias.data)
                            for r in q2])
             mid = naive_attention(nq, kv, cb.attn, h) + q2
-            hid = naive_gelu(mid @ cb.mlp_w1.data + cb.mlp_b1.data)
-            want_c = hid @ cb.mlp_w2.data + cb.mlp_b2.data
+            nm = np.stack([naive_ln(r, cb.ln2_gain.data, cb.ln2_bias.data)
+                           for r in mid])
+            hid = naive_gelu(nm @ cb.mlp_w1.data + cb.mlp_b1.data)
+            want_c = mid + hid @ cb.mlp_w2.data + cb.mlp_b2.data
             worst = max(worst, np.abs(out.data[0] - want_c).max())
         assert worst <= 1e-10
 
@@ -272,18 +274,19 @@ class TestCriterion8:
 
 @pytest.mark.slow
 class TestCriterion9:
-    # KNOWN FAILURE, kept red on purpose. At this scale, from-scratch
-    # training reverses both expected directions:
-    #  - the panel-decoder model's CLS gradient starts near zero (the query
-    #    path runs through freshly initialized small decoder weights), then
-    #    grows by orders of magnitude before decaying, so it never drops
-    #    below 10% of its initial value while the encoder-only model --
-    #    whose head passes gradient straight to CLS -- decays quickly;
-    #  - training aligns all panel members' quality embeddings toward the
-    #    learned score direction, so their off-diagonal cosine similarity
-    #    rises toward 1 instead of falling below the untrained baseline.
-    # Both effects were confirmed across seeds, tasks (noise regression,
-    # contrast corpus), warm starts, and model widths (D=16 and D=64).
+    # KNOWN FAILURE, kept red on purpose; the second assertion fails.
+    #  - The first assertion passes on this seed: the full model's
+    #    CLS-gradient variance falls below 10% of its start in 58 steps,
+    #    the encoder-only model's in 61. Each decoder layer adds its MLP's
+    #    input back, so the full model's first-step variance is 2.5e-8;
+    #    while the layer returned MLP(mid) alone it was 1.3e-13, and the
+    #    decay did not come within the 400 steps.
+    #  - The second assertion reverses: training drives the panel members'
+    #    quality embeddings together, and their mean off-diagonal cosine
+    #    rises from 0.692 untrained to 0.99994 after 400 steps instead of
+    #    falling. ROADMAP item 14 has the measured cause (the panel rows
+    #    stay put while the CLS token they are added to grows) and the
+    #    fixes still to test.
     def test_9_diagnostic_directionality(self):
         """slow: paired training runs for the gradient/panel analyses."""
         man = noise_manifest(seed=1)

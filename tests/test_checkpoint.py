@@ -106,7 +106,7 @@ class TestGoldenBytes:
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(path, toy_model(seed=4))
         assert self.sha256(path) == (
-            "9c2899c6c429acaf3ed085a043851917fd9c3220f328def60fe9a19b2739701a")
+            "43a9ed56c41bfb71095bdb17f1ed775faf4baa7873a22a7174b8ccd84fce1d19")
 
     @pytest.mark.parametrize("variant,digest", [
         ("encoder_only",
@@ -114,9 +114,9 @@ class TestGoldenBytes:
         ("panel_no_decoder",
          "b0ba62699e0ed42b83e4f3609453d1ba6fe8d849e5a9b21d150d65da4e9f75f4"),
         ("decoder_random_queries",
-         "c657c922cbad360c55287af3421b86218a8997ecdf088927746eafd4f1aec19a"),
+         "722adf9e8eed0a509feb14f43dc9b63c5d068f56e3675056f4f35172a5f78c35"),
         ("decoder_cls_queries",
-         "8327c8826d974d4e0b37e7341e4099337a256c4a822b11a1a06b246f9d322b6f"),
+         "0e45510f5237db2bb238786237f84d395b8de53d4ea9637d6c429496db3379f6"),
     ])
     def test_weights_only_other_variants(self, tmp_path, variant, digest):
         """Each variant's parameters, in record order."""
@@ -134,7 +134,7 @@ class TestGoldenBytes:
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(path, model, optimizer=state)
         assert self.sha256(path) == (
-            "caf5491b0c0412bed6194c28bfb62f6902160503637e70c5c3bf6415cd47cc8b")
+            "a79b9b3eddeb64f25d36390616a10dfc1fc763077410f3b75042f990c989554f")
 
 
 def edited_header(tmp_path, old: bytes, new: bytes) -> str:
@@ -264,6 +264,32 @@ class TestErrors:
         del ckpt.tensors["panel"]
         with pytest.raises(CheckpointError, match="panel"):
             build_model(ckpt)
+
+    def test_old_cross_block_layout_refused(self, tmp_path):
+        """A decoder layer written as a query norm (``lnq_*``), attention and
+        an MLP with no norm of its own is refused, not loaded as an encoder
+        block."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), toy_model(seed=6))
+        blob = path.read_bytes()
+        offsets = record_offsets(blob)
+        records = []
+        for start, end in zip(offsets, offsets[1:]):
+            name = record_name(blob, start)
+            if not name.startswith("cross_blocks.0.ln2_"):
+                # "ln1_" and "lnq_" have one length: the name field keeps it
+                records.append(blob[start:end].replace(
+                    b"cross_blocks.0.ln1_", b"cross_blocks.0.lnq_"))
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(blob[:offsets[0] - 4]
+                        + struct.pack("<I", len(records)) + b"".join(records))
+        with pytest.raises(CheckpointError) as info:
+            build_model(load_checkpoint(str(old)))
+        assert str(info.value) == (
+            f"{old}: tensor name mismatch: missing=['cross_blocks.0.ln1_bias', "
+            f"'cross_blocks.0.ln1_gain', 'cross_blocks.0.ln2_bias', "
+            f"'cross_blocks.0.ln2_gain'] extra=['cross_blocks.0.lnq_bias', "
+            f"'cross_blocks.0.lnq_gain']")
 
 
 def record_offsets(blob):

@@ -76,11 +76,34 @@ class TestCrossAttend:
             got, _ = dec.cross_attend(Tensor(q[None]), Tensor(kv[None]), cb,
                                       heads)
             mid = naive_attention(
-                naive_layer_norm(q, cb.lnq_gain.data, cb.lnq_bias.data),
+                naive_layer_norm(q, cb.ln1_gain.data, cb.ln1_bias.data),
                 kv, cb.attn, heads) + q
-            h = _naive_gelu(mid @ cb.mlp_w1.data + cb.mlp_b1.data)
-            want = h @ cb.mlp_w2.data + cb.mlp_b2.data
+            normed = naive_layer_norm(mid, cb.ln2_gain.data, cb.ln2_bias.data)
+            h = _naive_gelu(normed @ cb.mlp_w1.data + cb.mlp_b1.data)
+            want = mid + h @ cb.mlp_w2.data + cb.mlp_b2.data
             assert np.max(np.abs(got.data[0] - want)) <= 1e-10
+
+    def test_zeroed_projections_are_residual_only(self, model):
+        # both halves add their input back
+        cb = model.cross_blocks[0]
+        for w in (cb.attn.wo, cb.attn.bo, cb.mlp_w2, cb.mlp_b2):
+            w.data[...] = 0
+        rng = Rng(8)
+        q = rng.normal((3, 16))
+        out, _ = dec.cross_attend(Tensor(q[None]),
+                                  Tensor(rng.normal((9, 16))[None]), cb,
+                                  model.config.heads)
+        npt.assert_array_equal(out.data[0], q)
+
+    def test_is_an_encoder_block_over_given_keys(self, model):
+        # with the normed queries as keys and values, a decoder layer is the
+        # encoder block of its parameters
+        cb = model.cross_blocks[0]
+        x = Tensor(Rng(9).normal((2, 5, 16)))
+        normed = naive_layer_norm(x.data, cb.ln1_gain.data, cb.ln1_bias.data)
+        got, _ = dec.cross_attend(x, Tensor(normed), cb, model.config.heads)
+        want = enc.encoder_block(x, cb, model.config.heads)
+        npt.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
 
     def test_empty_patches_rejected(self, model):
         with pytest.raises(ValueError):
@@ -169,11 +192,11 @@ class TestTapeNodes:
 
         monkeypatch.setattr(Tensor, "_make", staticmethod(counting))
         mdl.forward_panel(model, Tensor(np.zeros((2, 3, 16, 16), np.float32)))
-        assert len(made) == 23
+        assert len(made) == 21
         assert made.count("attention") == 4 + 1 + 1
         assert Counter(made) == {
-            "attention": 6, "matmul": 5, "mlp": 4, "Tensor.__add__": 2,
-            "Tensor.__getitem__": 2, "gelu": 2, "_prepend_cls": 1,
+            "attention": 6, "mlp": 5, "matmul": 3, "Tensor.__add__": 2,
+            "Tensor.__getitem__": 2, "_prepend_cls": 1, "gelu": 1,
             "Tensor.reshape": 1}
 
     @pytest.mark.parametrize("variant", enc.VARIANTS)
@@ -311,7 +334,7 @@ class TestDecoderGradients:
 
 
 RECORDS = (enc.AttentionParams, enc.EncoderBlockParams, enc.EmbeddingParams,
-           dec.QueryBlockParams, dec.CrossBlockParams, dec.HeadParams)
+           dec.QueryBlockParams, dec.HeadParams)
 C7 = enc.ModelConfig(patch_size=4, token_dim=64, heads=4, encoder_depth=4,
                      panel_size=6, crop_hw=16)
 
@@ -334,8 +357,6 @@ def declared_shapes(cfg):
             "patch_proj_b": (D,), "cls_token": (1, D),
             "pos_embed": (cfg.num_patches + 1, D)},
         dec.QueryBlockParams: {"ln_gain": (D,), "ln_bias": (D,), **attn},
-        dec.CrossBlockParams: {"lnq_gain": (D,), "lnq_bias": (D,), **attn,
-                               **mlp},
         dec.HeadParams: {"w1": (D, Dh), "b1": (Dh,), "w2": (Dh, 1),
                          "b2": (1,)},
     }

@@ -13,9 +13,10 @@ optimizer state (written into ``DIR`` after the file list), which pins the
 moment records. Last, it prints a hash over the image bytes of a second
 synthetic corpus (3 base images, every distortion kind at 5 levels, 24 x 24
 pixels), so that the data generator is covered at a schedule other than the
-toy corpus's, and a hash over the names and bytes of ``init_model``'s
-parameters for every variant, in float32 and float64, at the criterion-7
-shape with ``decoder_depth`` 2. Output paths appear in stdout, so compare two
+toy corpus's, and for each variant a hash over the names and bytes of
+``init_model``'s parameters, in float32 and float64, at the criterion-7 shape
+with ``decoder_depth`` 2, so that a model change shows which variants it
+moved. Output paths appear in stdout, so compare two
 trees by running each into the same ``DIR`` (remove it in between) and
 diffing the two prints. It exits 1 if a run failed. It takes a few seconds
 and is not part of the test suite.
@@ -97,20 +98,20 @@ def corpus_hash() -> str:
     return h.hexdigest()
 
 
-def init_hash() -> str:
-    """Every initializer, at a shape the toy config does not use."""
+def init_hash(variant: str) -> str:
+    """Every initializer of ``variant``, at a shape the toy config does not
+    use."""
     import dataclasses
     import numpy as np
-    from panelqa import encoder, model
+    from panelqa import model
     from panelqa.tensor import Rng
     from workloads import C7
     h = hashlib.sha256()
-    for variant in encoder.VARIANTS:
-        cfg = dataclasses.replace(C7, decoder_depth=2, variant=variant)
-        for dtype in (np.float32, np.float64):
-            m = model.init_model(cfg, Rng(("init", variant)), dtype=dtype)
-            for name, p in m.named_parameters().items():
-                h.update(name.encode() + p.data.tobytes())
+    cfg = dataclasses.replace(C7, decoder_depth=2, variant=variant)
+    for dtype in (np.float32, np.float64):
+        m = model.init_model(cfg, Rng(("init", variant)), dtype=dtype)
+        for name, p in m.named_parameters().items():
+            h.update(name.encode() + p.data.tobytes())
     return h.hexdigest()
 
 
@@ -127,7 +128,9 @@ def main(argv: list[str]) -> int:
               f"fit-float{precision}-{FIT_STEPS}-steps")
     print(f"{file_sha(ckpt)}  {os.path.basename(ckpt)}")
     print(f"{corpus_hash()}  corpus-3x5-hw24")
-    print(f"{init_hash()}  init-c7-depth2-all-variants")
+    from panelqa import encoder
+    for variant in encoder.VARIANTS:
+        print(f"{init_hash(variant)}  init-c7-depth2-{variant}")
     return 0 if ok else 1
 
 
